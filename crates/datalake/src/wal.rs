@@ -792,10 +792,37 @@ pub fn checkpoint_epoch(path: &Path) -> Result<LakeEpoch, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-    /// Fault plans are process-global; tests that arm them serialize here.
-    static FAULT_LOCK: Mutex<()> = Mutex::new(());
+    /// Fault plans are process-global: a test that arms one holds this
+    /// exclusively ([`arming`]); a plain test that reaches a failpoint
+    /// site holds it shared ([`fault_free`]), so no armed plan can fire
+    /// inside it.
+    static FAULT_LOCK: RwLock<()> = RwLock::new(());
+
+    /// Exclusive hold for a fault-arming test; disarms on drop, so a
+    /// failed assertion cannot leave a plan armed for the next test.
+    struct Arming {
+        _lock: RwLockWriteGuard<'static, ()>,
+    }
+
+    impl Drop for Arming {
+        fn drop(&mut self) {
+            faults::disarm();
+        }
+    }
+
+    fn arming() -> Arming {
+        Arming {
+            _lock: FAULT_LOCK.write().unwrap_or_else(|e| e.into_inner()),
+        }
+    }
+
+    /// Shared hold for a plain test that reaches `Wal::append`, `recover`,
+    /// `rotate` or `write_checkpoint`.
+    fn fault_free() -> RwLockReadGuard<'static, ()> {
+        FAULT_LOCK.read().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn temp_path(tag: &str) -> PathBuf {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -857,6 +884,7 @@ mod tests {
 
     #[test]
     fn append_then_recover_replays_everything() {
+        let _guard = fault_free();
         let path = temp_path("roundtrip");
         let (mut wal, replay) = Wal::recover(&path).unwrap();
         assert!(replay.records.is_empty() && !replay.torn);
@@ -885,6 +913,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_not_fatal() {
+        let _guard = fault_free();
         let path = temp_path("torn");
         let (mut wal, _) = Wal::recover(&path).unwrap();
         wal.append(&WalRecord {
@@ -917,6 +946,7 @@ mod tests {
 
     #[test]
     fn corrupt_mid_journal_truncates_at_first_bad_record() {
+        let _guard = fault_free();
         let path = temp_path("corrupt-mid");
         let (mut wal, _) = Wal::recover(&path).unwrap();
         for i in 0..3u64 {
@@ -941,6 +971,7 @@ mod tests {
 
     #[test]
     fn absurd_length_field_is_rejected_without_allocating() {
+        let _guard = fault_free();
         let path = temp_path("hugelen");
         let (mut wal, _) = Wal::recover(&path).unwrap();
         wal.append(&WalRecord {
@@ -961,6 +992,7 @@ mod tests {
 
     #[test]
     fn non_journal_file_is_refused_not_truncated() {
+        let _guard = fault_free();
         let path = temp_path("notwal");
         std::fs::write(&path, b"definitely a csv").unwrap();
         let err = Wal::recover(&path).unwrap_err();
@@ -1058,6 +1090,7 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrips_tombstones_and_epoch() {
+        let _guard = fault_free();
         let mut lake = base_lake();
         Mutation::Add(table("t2", 3)).apply(&mut lake);
         Mutation::Remove(TableId(0)).apply(&mut lake);
@@ -1075,6 +1108,7 @@ mod tests {
 
     #[test]
     fn checkpoint_bit_flip_fails_closed() {
+        let _guard = fault_free();
         let lake = base_lake();
         let path = temp_path("ckpt-flip");
         write_checkpoint(&lake, &path).unwrap();
@@ -1090,7 +1124,7 @@ mod tests {
 
     #[test]
     fn injected_append_faults_roll_back_cleanly() {
-        let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = arming();
         let path = temp_path("fault-append");
         let (mut wal, _) = Wal::recover(&path).unwrap();
         wal.append(&WalRecord {
@@ -1138,7 +1172,7 @@ mod tests {
 
     #[test]
     fn injected_append_corruption_is_truncated_at_recovery() {
-        let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = arming();
         let path = temp_path("fault-corrupt");
         let (mut wal, _) = Wal::recover(&path).unwrap();
         wal.append(&WalRecord {
@@ -1163,7 +1197,7 @@ mod tests {
 
     #[test]
     fn injected_checkpoint_faults_preserve_the_previous_checkpoint() {
-        let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = arming();
         let mut lake = base_lake();
         let path = temp_path("fault-ckpt");
         write_checkpoint(&lake, &path).unwrap();
@@ -1190,7 +1224,7 @@ mod tests {
 
     #[test]
     fn injected_replay_faults_degrade_to_truncation() {
-        let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = arming();
         let path = temp_path("fault-replay");
         let (mut wal, _) = Wal::recover(&path).unwrap();
         for i in 0..4u64 {
@@ -1224,7 +1258,7 @@ mod tests {
 
     #[test]
     fn failed_batch_append_journals_nothing() {
-        let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = arming();
         let path = temp_path("batch-atomic");
         let (mut wal, _) = Wal::recover(&path).unwrap();
         let batch = vec![
@@ -1255,6 +1289,7 @@ mod tests {
 
     #[test]
     fn rotation_empties_the_journal() {
+        let _guard = fault_free();
         let path = temp_path("rotate");
         let (mut wal, _) = Wal::recover(&path).unwrap();
         wal.append(&WalRecord {
