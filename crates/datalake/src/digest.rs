@@ -2,7 +2,7 @@
 //!
 //! Algorithm 1's inner loop only ever needs the *linked* structure of a
 //! table — which entities appear in which column, how often, and in which
-//! rows — yet the raw representation forces every score to re-walk all
+//! row order — yet the raw representation forces every score to re-walk all
 //! rows and re-touch every unlinked cell. A [`TableDigest`] precomputes
 //! that structure once per table (at lake build, invalidated together with
 //! the postings on any mutation):
@@ -14,10 +14,7 @@
 //!   column's linked cells in row order as indices into the distinct list
 //!   (so column-relevance sums replay the exact floating-point addition
 //!   order of the raw row walk — scoring through the digest is
-//!   bit-identical to scoring through the rows);
-//! * the **linked-row views**: row index → `(column, entity)` pairs with
-//!   unlinked cells dropped, so row-oriented consumers skip fully-unlinked
-//!   rows without looking at them.
+//!   bit-identical to scoring through the rows).
 //!
 //! Tables without a single linked cell have no digest at all
 //! ([`TableDigest::build`] returns `None`), which is exactly the set of
@@ -48,15 +45,6 @@ pub struct ColumnDigest {
     pub cells: Vec<u32>,
 }
 
-/// One linked row: the row index and its linked cells.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkedRow {
-    /// Index of the row in the source table.
-    pub row: u32,
-    /// `(column, entity)` pairs of the row's linked cells, in column order.
-    pub cells: Vec<(u32, EntityId)>,
-}
-
 /// The precomputed scoring summary of one linked table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableDigest {
@@ -64,8 +52,6 @@ pub struct TableDigest {
     pub distinct: Vec<EntityId>,
     /// One digest per table column (in schema order).
     pub columns: Vec<ColumnDigest>,
-    /// Rows with at least one linked cell, in row order.
-    pub linked_rows: Vec<LinkedRow>,
     /// Total rows in the source table (linked or not) — the divisor of the
     /// average row aggregation.
     pub n_rows: usize,
@@ -78,26 +64,16 @@ impl TableDigest {
     /// linked cell (such tables are irrelevant under SemRel §4.2 and the
     /// scorer must skip them without walking rows).
     pub fn build(table: &Table) -> Option<Self> {
-        let mut distinct: Vec<EntityId> = Vec::new();
-        let mut linked_rows: Vec<LinkedRow> = Vec::new();
-        for (ri, row) in table.rows().iter().enumerate() {
-            let mut cells: Vec<(u32, EntityId)> = Vec::new();
-            for (ci, cell) in row.iter().enumerate() {
-                if let Some(e) = cell.entity() {
-                    cells.push((ci as u32, e));
-                    distinct.push(e);
-                }
-            }
-            if !cells.is_empty() {
-                linked_rows.push(LinkedRow {
-                    row: ri as u32,
-                    cells,
-                });
-            }
-        }
+        let mut distinct: Vec<EntityId> = table
+            .rows()
+            .iter()
+            .flatten()
+            .filter_map(|cell| cell.entity())
+            .collect();
         if distinct.is_empty() {
             return None;
         }
+        let linked_cells = distinct.len() as u64;
         distinct.sort_unstable();
         distinct.dedup();
 
@@ -113,17 +89,19 @@ impl TableDigest {
                 cells: Vec::new(),
             })
             .collect();
-        let mut linked_cells = 0u64;
-        for lr in &linked_rows {
-            for &(ci, e) in &lr.cells {
-                columns[ci as usize].cells.push(idx_of(e));
-                linked_cells += 1;
+        for row in table.rows() {
+            for (ci, cell) in row.iter().enumerate() {
+                if let Some(e) = cell.entity() {
+                    columns[ci].cells.push(idx_of(e));
+                }
             }
         }
+        let mut sorted: Vec<u32> = Vec::new();
         for col in &mut columns {
-            let mut sorted = col.cells.clone();
+            sorted.clear();
+            sorted.extend_from_slice(&col.cells);
             sorted.sort_unstable();
-            for idx in sorted {
+            for &idx in &sorted {
                 match col.entities.last() {
                     Some(&last) if last == idx => *col.counts.last_mut().unwrap() += 1,
                     _ => {
@@ -138,7 +116,6 @@ impl TableDigest {
         Some(Self {
             distinct,
             columns,
-            linked_rows,
             n_rows: table.n_rows(),
             linked_cells,
         })
@@ -212,14 +189,6 @@ mod tests {
         assert_eq!(d.columns[1].counts, vec![2, 1]);
         assert_eq!(d.linked_cells, 5);
         assert_eq!(d.n_rows, 4);
-    }
-
-    #[test]
-    fn linked_rows_drop_unlinked_cells_and_rows() {
-        let d = TableDigest::build(&sample()).unwrap();
-        let rows: Vec<u32> = d.linked_rows.iter().map(|r| r.row).collect();
-        assert_eq!(rows, vec![0, 1, 3]); // row 2 is fully unlinked
-        assert_eq!(d.linked_rows[1].cells, vec![(1, EntityId(5))]);
     }
 
     #[test]

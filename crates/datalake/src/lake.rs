@@ -348,20 +348,23 @@ impl DataLake {
             .map(|(i, t)| (TableId::from_index(i), t))
     }
 
-    /// Rebuilds the entity→tables postings and the per-table columnar
-    /// digests from scratch. The delta paths are proven equivalent to
-    /// this; it remains the recovery point for bulk mutation
-    /// ([`DataLake::tables_mut`]) and for a delta that unwound mid-flight.
+    /// Rebuilds the per-table columnar digests from scratch — the one pass
+    /// over the cells — and derives the entity→tables postings from them.
+    /// The delta paths are proven equivalent to this; it remains the
+    /// recovery point for bulk mutation ([`DataLake::tables_mut`]) and for
+    /// a delta that unwound mid-flight.
     pub fn rebuild_postings(&mut self) {
         let _rebuild = OBS_REBUILD.start();
+        self.digests = TableDigest::build_all(&self.tables);
         self.postings.clear();
-        for (i, table) in self.tables.iter().enumerate() {
+        // A digest's `distinct` is the table's entity set; visiting tables
+        // in id order keeps every posting list ascending.
+        for (i, digest) in self.digests.iter().enumerate() {
             let id = TableId::from_index(i);
-            for e in table.distinct_entities() {
+            for &e in digest.iter().flat_map(|d| &d.distinct) {
                 self.postings.entry(e).or_default().push(id);
             }
         }
-        self.digests = TableDigest::build_all(&self.tables);
         self.stale.clear();
         self.bulk_dirty = false;
         self.epoch += 1;

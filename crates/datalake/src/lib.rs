@@ -24,7 +24,7 @@ pub mod table;
 pub mod value;
 pub mod wal;
 
-pub use digest::{ColumnDigest, LinkedRow, TableDigest};
+pub use digest::{ColumnDigest, TableDigest};
 pub use epoch::{EpochLake, Mutation};
 pub use lake::{DataLake, LakeEpoch};
 pub use linking::{EntityLinker, ExactLabelLinker, LinkStats, NoisyLinker, TokenLinker};

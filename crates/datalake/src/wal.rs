@@ -668,7 +668,12 @@ fn encode_checkpoint(lake: &DataLake) -> Vec<u8> {
     out
 }
 
-fn decode_checkpoint(bytes: &[u8]) -> Result<DataLake, String> {
+/// The checksummed structural parse of a checkpoint image: magic, length
+/// and checksum, then every table and tombstone id, returned in
+/// [`DataLake::from_snapshot`]'s argument order. This is everything that
+/// can reject a checkpoint — `from_snapshot` validates nothing — so the
+/// writer's read-back verification runs only this and builds no lake.
+fn parse_checkpoint(bytes: &[u8]) -> Result<(Vec<Table>, Vec<TableId>, LakeEpoch), String> {
     if bytes.len() < 4 + 8 + 4 + 4 + 8 {
         return Err("checkpoint truncated".into());
     }
@@ -695,7 +700,7 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<DataLake, String> {
     if !c.done() {
         return Err("trailing garbage in checkpoint".into());
     }
-    Ok(DataLake::from_snapshot(tables, removed, epoch))
+    Ok((tables, removed, epoch))
 }
 
 /// Writes a full-lake checkpoint with the TLI3 crash-safety discipline —
@@ -747,9 +752,10 @@ fn write_checkpoint_inner(lake: &DataLake, path: &Path) -> Result<(), String> {
             .and_then(|_| f.sync_all())
             .map_err(|e| format!("cannot write checkpoint: {e}"))?;
     }
-    // Read-back verification: decode what actually hit the disk.
+    // Read-back verification: parse what actually hit the disk. No lake
+    // is built from it — the caller holds the one being checkpointed.
     let written = std::fs::read(&tmp).map_err(|e| format!("cannot re-read checkpoint: {e}"))?;
-    if let Err(e) = decode_checkpoint(&written) {
+    if let Err(e) = parse_checkpoint(&written) {
         let _ = std::fs::remove_file(&tmp);
         return Err(format!("checkpoint failed read-back verification: {e}"));
     }
@@ -770,7 +776,8 @@ fn write_checkpoint_inner(lake: &DataLake, path: &Path) -> Result<(), String> {
 pub fn read_checkpoint(path: &Path) -> Result<DataLake, String> {
     let bytes = std::fs::read(path)
         .map_err(|e| format!("cannot read checkpoint {}: {e}", path.display()))?;
-    decode_checkpoint(&bytes)
+    let (tables, removed, epoch) = parse_checkpoint(&bytes)?;
+    Ok(DataLake::from_snapshot(tables, removed, epoch))
 }
 
 /// The epoch a checkpoint file records, without decoding the full lake
@@ -1120,6 +1127,35 @@ mod tests {
         assert!(read_checkpoint(&path).unwrap_err().contains("checksum"));
         assert!(checkpoint_epoch(&path).unwrap_err().contains("checksum"));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn read_back_parse_refuses_truncated_and_bit_flipped_images() {
+        // `write_checkpoint` verifies the temp file with `parse_checkpoint`
+        // alone (no lake is built), so the parse must reject on its own
+        // every torn or rotted image — whatever byte the damage hits.
+        let mut lake = base_lake();
+        Mutation::Add(table("t2", 3)).apply(&mut lake);
+        Mutation::Remove(TableId(0)).apply(&mut lake);
+        let image = encode_checkpoint(&lake);
+        let (tables, removed, epoch) = parse_checkpoint(&image).unwrap();
+        assert_eq!(tables, lake.tables());
+        assert_eq!(removed, lake.removed_ids().collect::<Vec<_>>());
+        assert_eq!(epoch, lake.epoch());
+        for cut in 0..image.len() {
+            assert!(
+                parse_checkpoint(&image[..cut]).is_err(),
+                "image truncated to {cut} bytes was accepted"
+            );
+        }
+        for pos in 0..image.len() {
+            let mut flipped = image.clone();
+            flipped[pos] ^= 0x40;
+            assert!(
+                parse_checkpoint(&flipped).is_err(),
+                "bit flip at byte {pos} was accepted"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! single step**:
 //!
 //! * entity→table postings: exactly equal (posting lists are ascending on
-//!   both sides, so plain `HashMap` equality applies);
+//!   both sides, so plain `HashMap` equality applies), and the rebuild's
+//!   digest-derived postings exactly equal to a raw `distinct_entities()`
+//!   walk over the same tables;
 //! * per-table digests: exactly equal (`TableDigest: PartialEq`);
 //! * LSEI band buckets: equal in canonical form (per band, key-sorted
 //!   buckets of sorted items — `HashMap` iteration order makes even two
@@ -23,6 +25,8 @@
 //! that `pinned_seeds_replay` drives through the same harness in CI —
 //! seeds that once exposed a divergence get appended there and are then
 //! re-checked forever.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 use thetis_core::{Query, SearchOptions, ThetisEngine, TypeJaccard};
@@ -209,6 +213,17 @@ impl<'g> Harness<'g> {
     fn check_equivalence(&self) -> Result<(), TestCaseError> {
         let rebuilt = DataLake::from_tables(self.lake.tables().to_vec());
         prop_assert_eq!(self.lake.postings(), rebuilt.postings());
+        // A rebuild derives postings from the digests; the reference is
+        // the raw cell walk it replaced (`distinct_entities()` per table,
+        // ids pushed in `0..n` order) over the same unlinked tables,
+        // tombstones and duplicate cells.
+        let mut raw_walk: HashMap<EntityId, Vec<TableId>> = HashMap::new();
+        for (id, table) in rebuilt.iter() {
+            for e in table.distinct_entities() {
+                raw_walk.entry(e).or_default().push(id);
+            }
+        }
+        prop_assert_eq!(rebuilt.postings(), &raw_walk);
         for (id, _) in self.lake.iter() {
             prop_assert_eq!(
                 self.lake.digest(id),

@@ -236,8 +236,7 @@ fn run_ops(ops: &[Op]) -> Result<(), TestCaseError> {
     let ckpt_epoch = recovered.epoch();
     let (_wal, replay) = Wal::recover(&wal_path).map_err(TestCaseError::Fail)?;
     prop_assert!(!replay.torn, "an intact journal has no torn tail");
-    let outcome =
-        apply_replay(&mut recovered, &replay.records).map_err(TestCaseError::Fail)?;
+    let outcome = apply_replay(&mut recovered, &replay.records).map_err(TestCaseError::Fail)?;
     prop_assert_eq!(
         outcome.applied + outcome.skipped,
         replay.records.len() as u64

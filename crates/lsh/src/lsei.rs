@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use thetis_datalake::{DataLake, TableId};
 use thetis_embedding::EmbeddingStore;
-use thetis_kg::{EntityId, KnowledgeGraph};
+use thetis_kg::{EntityId, KnowledgeGraph, TypeId};
 
 use crate::config::LshConfig;
 use crate::hyperplane::{mean_vector, RandomHyperplanes};
@@ -47,9 +47,6 @@ static OBS_TABLES_INSERTED: thetis_obs::Counter = thetis_obs::Counter::new("lsh.
 static OBS_TABLES_REMOVED: thetis_obs::Counter = thetis_obs::Counter::new("lsh.tables_removed");
 static OBS_TABLES_RELINKED: thetis_obs::Counter = thetis_obs::Counter::new("lsh.tables_relinked");
 static OBS_QUERY_LATENCY: thetis_obs::Histogram = thetis_obs::Histogram::new("lsh.query_latency");
-/// Signing workers (or single entities on the recovery path) that
-/// panicked during a parallel index build.
-static OBS_SIGN_PANICS: thetis_obs::Counter = thetis_obs::Counter::new("lsh.sign_panics");
 
 /// Computes LSH signatures for entities and entity groups.
 pub trait EntitySigner {
@@ -58,6 +55,14 @@ pub trait EntitySigner {
 
     /// Signature of an aggregated entity group (column aggregation, §6.2).
     fn sign_group(&self, entities: &[EntityId]) -> Signature;
+
+    /// Signatures of many entities at once, aligned with `entities` and
+    /// bitwise equal to calling [`EntitySigner::sign_entity`] on each. A
+    /// signer whose entities share signatures overrides this to hash each
+    /// distinct one once.
+    fn sign_entities(&self, entities: &[EntityId]) -> Vec<Signature> {
+        entities.iter().map(|&e| self.sign_entity(e)).collect()
+    }
 }
 
 /// Signer over type-pair shingles (the "LSEI for Entity Types" of §6.1).
@@ -96,6 +101,22 @@ impl EntitySigner for TypeSigner<'_> {
             &self.filter,
         );
         self.hasher.sign(&shingles)
+    }
+
+    /// A signature depends only on the entity's *filtered* type list, and
+    /// a lake has far fewer of those than entities: each is hashed once.
+    fn sign_entities(&self, entities: &[EntityId]) -> Vec<Signature> {
+        let mut by_types: HashMap<Vec<TypeId>, Signature> = HashMap::new();
+        entities
+            .iter()
+            .map(|&e| {
+                let kept: Vec<TypeId> = self.filter.apply(self.graph.types_of(e)).collect();
+                by_types
+                    .entry(kept)
+                    .or_insert_with(|| self.sign_entity(e))
+                    .clone()
+            })
+            .collect()
     }
 }
 
@@ -333,16 +354,14 @@ impl<S: EntitySigner> Lsei<S> {
         match mode {
             LseiMode::Entity => {
                 postings = lake.postings().clone();
-                let signed: Vec<(EntityId, Signature)> = {
+                let entities: Vec<EntityId> = postings.keys().copied().collect();
+                let signatures = {
                     let _sign = OBS_BUILD_SIGN.start();
-                    postings
-                        .keys()
-                        .map(|&e| (e, signer.sign_entity(e)))
-                        .collect()
+                    signer.sign_entities(&entities)
                 };
-                OBS_SIGNATURES.add(signed.len() as u64);
-                for (e, sig) in signed {
-                    index.insert(&sig, e.0);
+                OBS_SIGNATURES.add(signatures.len() as u64);
+                for (e, sig) in entities.iter().zip(&signatures) {
+                    index.insert(sig, e.0);
                 }
             }
             LseiMode::Column => {
@@ -527,89 +546,6 @@ impl<S: EntitySigner> Lsei<S> {
     /// The number of tables the index was built over.
     pub fn n_tables(&self) -> usize {
         self.n_tables
-    }
-
-    /// Like [`Lsei::build`], but computes entity signatures on `threads`
-    /// worker threads (signature hashing dominates build time on large
-    /// lakes; bucket insertion stays sequential and cheap).
-    pub fn build_parallel(
-        lake: &DataLake,
-        signer: S,
-        config: LshConfig,
-        mode: LseiMode,
-        threads: usize,
-    ) -> Self
-    where
-        S: Sync,
-    {
-        if mode == LseiMode::Column || threads <= 1 {
-            return Self::build(lake, signer, config, mode);
-        }
-        let _build = OBS_BUILD.start();
-        let postings = lake.postings().clone();
-        let entities: Vec<EntityId> = {
-            let mut v: Vec<EntityId> = postings.keys().copied().collect();
-            v.sort_unstable();
-            v
-        };
-        OBS_SIGNATURES.add(entities.len() as u64);
-        // The scope below blocks until every signing worker finishes, so a
-        // main-thread guard captures the wall time of the whole phase.
-        let sign_guard = OBS_BUILD_SIGN.start();
-        let chunk = entities.len().div_ceil(threads.max(1)).max(1);
-        let signed: Vec<Vec<(EntityId, Signature)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = entities
-                .chunks(chunk)
-                .map(|slice| {
-                    let signer = &signer;
-                    scope.spawn(move || {
-                        slice
-                            .iter()
-                            .map(|&e| (e, signer.sign_entity(e)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            // A panicked worker loses its whole chunk's signatures, so
-            // recover by re-signing that chunk sequentially with
-            // per-entity isolation; an entity whose signing panics again
-            // is skipped (it simply never collides, so its tables rely on
-            // their other entities) rather than aborting the build.
-            entities
-                .chunks(chunk)
-                .zip(handles)
-                .map(|(slice, h)| match h.join() {
-                    Ok(part) => part,
-                    Err(_) => {
-                        OBS_SIGN_PANICS.inc();
-                        slice
-                            .iter()
-                            .filter_map(|&e| {
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    signer.sign_entity(e)
-                                }))
-                                .map(|sig| (e, sig))
-                                .map_err(|_| OBS_SIGN_PANICS.inc())
-                                .ok()
-                            })
-                            .collect()
-                    }
-                })
-                .collect()
-        });
-        drop(sign_guard);
-        let mut index = LshIndex::new(config);
-        for (e, sig) in signed.into_iter().flatten() {
-            index.insert(&sig, e.0);
-        }
-        Self {
-            signer,
-            mode,
-            index,
-            postings,
-            n_tables: lake.len(),
-            epoch: lake.epoch(),
-        }
     }
 
     /// The index granularity.
@@ -999,18 +935,63 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_sequential() {
-        let (g, lake, bb, vb) = fixture();
-        let cfg = LshConfig::new(32, 8);
-        let mk = || TypeSigner::new(&g, TypeFilter::none(), cfg, 1);
-        let seq = Lsei::build(&lake, mk(), cfg, LseiMode::Entity);
-        let par = Lsei::build_parallel(&lake, mk(), cfg, LseiMode::Entity, 4);
-        for &probe in bb.iter().chain(&vb) {
-            let a = seq.prefilter(&[probe], 1);
-            let b = par.prefilter(&[probe], 1);
-            assert_eq!(a.tables, b.tables);
-            assert_eq!(a.raw_candidates, b.raw_candidates);
-        }
+    fn type_signer_batch_signatures_equal_per_entity_ones() {
+        // `common` is on three of four tables (banned at 0.5), `rare` on
+        // one: the entities cover an all-banned type list, a partly banned
+        // one, an untouched one, no types at all, and one outside the lake.
+        let mut b = KgBuilder::new();
+        let common = b.add_type("Common", None);
+        let rare = b.add_type("Rare", None);
+        let all_banned = b.add_entity("all_banned", vec![common]);
+        let partly = b.add_entity("partly", vec![common, rare]);
+        let untouched = b.add_entity("untouched", vec![rare]);
+        let untyped = b.add_entity("untyped", vec![]);
+        let outside = b.add_entity("outside", vec![common, rare]);
+        let g = b.freeze();
+        let mk = |es: &[EntityId]| {
+            let mut t = Table::new("t", vec!["a".into()]);
+            for &entity in es {
+                t.push_row(vec![CellValue::LinkedEntity {
+                    mention: "m".into(),
+                    entity,
+                }]);
+            }
+            t
+        };
+        let lake = DataLake::from_tables(vec![
+            mk(&[all_banned, untyped]),
+            mk(&[all_banned]),
+            mk(&[partly]),
+            mk(&[untyped]),
+        ]);
+        let filter = TypeFilter::from_lake(&lake, &g, 0.5);
+        assert!(filter.is_banned(common) && !filter.is_banned(rare));
+
+        let signer = TypeSigner::new(&g, filter, LshConfig::new(32, 8), 1);
+        // Repeats and interleaving: the cache must not misalign outputs.
+        let entities = [
+            partly, all_banned, untyped, untouched, outside, all_banned, partly,
+        ];
+        let one_by_one: Vec<Signature> = entities.iter().map(|&e| signer.sign_entity(e)).collect();
+        assert_eq!(signer.sign_entities(&entities), one_by_one);
+        assert!(signer.sign_entities(&[]).is_empty());
+    }
+
+    #[test]
+    fn embedding_signer_batch_signatures_equal_per_entity_ones() {
+        let mut store = EmbeddingStore::zeros(3, 4);
+        store
+            .get_mut(EntityId(0))
+            .copy_from_slice(&[1.0, -0.5, 0.25, 0.0]);
+        store
+            .get_mut(EntityId(2))
+            .copy_from_slice(&[-1.0, 0.5, 0.0, 2.0]);
+        let signer = EmbeddingSigner::new(&store, LshConfig::new(32, 8), 5);
+        // Entity 7 is missing from the store: the zero signature, both ways.
+        let entities = [EntityId(2), EntityId(7), EntityId(0), EntityId(1)];
+        let one_by_one: Vec<Signature> = entities.iter().map(|&e| signer.sign_entity(e)).collect();
+        assert_eq!(signer.sign_entities(&entities), one_by_one);
+        assert_eq!(one_by_one[1], Signature::zeros(32));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use thetis_datalake::DataLake;
+use thetis_datalake::{DataLake, TableId};
 use thetis_kg::{KnowledgeGraph, TypeId};
 
 /// A filter suppressing overly frequent types.
@@ -28,7 +28,12 @@ impl TypeFilter {
 
     /// Builds a filter from corpus statistics: a type is banned when the
     /// fraction of tables containing at least one entity with that type
-    /// exceeds `threshold` (the paper uses `0.5`).
+    /// exceeds `threshold` (the paper uses `0.5`). Counts over the lake's
+    /// digests, so no cell is walked again.
+    ///
+    /// # Panics
+    /// Panics if tables were mutated since the last rebuild or refresh
+    /// (the same condition as [`DataLake::postings`]).
     pub fn from_lake(lake: &DataLake, graph: &KnowledgeGraph, threshold: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&threshold),
@@ -38,21 +43,29 @@ impl TypeFilter {
         if n_tables == 0 {
             return Self::none();
         }
-        let mut table_count: HashMap<TypeId, usize> = HashMap::new();
-        for table in lake.tables() {
-            let mut seen: HashSet<TypeId> = HashSet::new();
-            for e in table.distinct_entities() {
+        assert!(
+            lake.digests_fresh(),
+            "digests are stale; call rebuild_postings() after mutating tables"
+        );
+        // Per type: (tables counted so far, id of the last table counted),
+        // so a type shared by many entities of one table counts once.
+        let mut table_count: HashMap<TypeId, (usize, TableId)> = HashMap::new();
+        for (id, _) in lake.iter() {
+            let Some(digest) = lake.digest(id) else {
+                continue;
+            };
+            for &e in &digest.distinct {
                 for &t in graph.types_of(e) {
-                    seen.insert(t);
+                    let slot = table_count.entry(t).or_insert((0, id));
+                    if slot.0 == 0 || slot.1 != id {
+                        *slot = (slot.0 + 1, id);
+                    }
                 }
-            }
-            for t in seen {
-                *table_count.entry(t).or_insert(0) += 1;
             }
         }
         let banned = table_count
             .into_iter()
-            .filter(|&(_, c)| c as f64 / n_tables as f64 > threshold)
+            .filter(|&(_, (c, _))| c as f64 / n_tables as f64 > threshold)
             .map(|(t, _)| t)
             .collect();
         Self { banned }

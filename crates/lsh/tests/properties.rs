@@ -1,8 +1,11 @@
 //! Property-based tests for the LSH layer: the statistical contracts that
 //! make prefiltering sound.
 
+use std::collections::{HashMap, HashSet};
+
 use proptest::prelude::*;
-use thetis_kg::TypeId;
+use thetis_datalake::{CellValue, DataLake, Table, TableId};
+use thetis_kg::{KgBuilder, TypeId};
 use thetis_lsh::bands::band_keys;
 use thetis_lsh::hyperplane::RandomHyperplanes;
 use thetis_lsh::index::LshIndex;
@@ -82,5 +85,71 @@ proptest! {
         let shingles: Vec<u64> = s.into_iter().collect();
         let sig = h.sign(&shingles);
         prop_assert_eq!(sig.matching_bits(&sig), 128);
+    }
+
+    /// `TypeFilter::from_lake` counts types over the digests with a
+    /// per-type last-table stamp; it must ban exactly what the naive
+    /// reference — one type set per table from the raw cells — bans, over
+    /// unlinked cells and tables, duplicate cells, untyped entities and a
+    /// tombstone.
+    #[test]
+    fn type_filter_matches_naive_per_table_type_sets(
+        tables in proptest::collection::vec(proptest::collection::vec(0u8..=12, 0..8), 1..8),
+        tombstone in 0u8..16,
+        percent in 0u32..=100,
+    ) {
+        // Entity `i` carries the types whose bit is set in `i` (entity 0
+        // has none); the selector 12 is an unlinked cell.
+        let mut b = KgBuilder::new();
+        let types: Vec<TypeId> = (0..4).map(|i| b.add_type(&format!("T{i}"), None)).collect();
+        let pool: Vec<_> = (0..12usize)
+            .map(|i| {
+                let own = (0..4).filter(|bit| i >> bit & 1 == 1).map(|bit| types[bit]);
+                b.add_entity(&format!("e{i}"), own.collect())
+            })
+            .collect();
+        let graph = b.freeze();
+        let mut lake = DataLake::from_tables(
+            tables
+                .iter()
+                .map(|cells| {
+                    let mut t = Table::new("t", vec!["a".into()]);
+                    for &c in cells {
+                        t.push_row(vec![match pool.get(c as usize) {
+                            Some(&entity) => CellValue::LinkedEntity { mention: "m".into(), entity },
+                            None => CellValue::Text("unlinked".into()),
+                        }]);
+                    }
+                    t
+                })
+                .collect(),
+        );
+        if (tombstone as usize) < lake.len() {
+            lake.remove_table(TableId(tombstone as u32));
+        }
+        let threshold = f64::from(percent) / 100.0;
+
+        let mut table_count: HashMap<TypeId, usize> = HashMap::new();
+        for table in lake.tables() {
+            let seen: HashSet<TypeId> = table
+                .distinct_entities()
+                .into_iter()
+                .flat_map(|e| graph.types_of(e).iter().copied())
+                .collect();
+            for t in seen {
+                *table_count.entry(t).or_insert(0) += 1;
+            }
+        }
+        let naive: HashSet<TypeId> = table_count
+            .into_iter()
+            .filter(|&(_, c)| c as f64 / lake.len() as f64 > threshold)
+            .map(|(t, _)| t)
+            .collect();
+
+        let filter = TypeFilter::from_lake(&lake, &graph, threshold);
+        prop_assert_eq!(filter.banned_count(), naive.len());
+        for &t in &types {
+            prop_assert_eq!(filter.is_banned(t), naive.contains(&t), "type {:?}", t);
+        }
     }
 }
