@@ -1,20 +1,27 @@
-//! `delta-maintenance` microbench: incremental mutation vs full rebuild.
+//! `delta-maintenance` microbench: incremental mutation vs full rebuild,
+//! and the served commit that sits between them.
 //!
 //! The delta paths (`DataLake::{add_table, remove_table}` plus
-//! `Lsei::{insert_table, remove_table}`) exist to make single-table lake
-//! mutation O(table) instead of O(corpus). This experiment measures both
-//! sides on the CI smoke lake and reports the ratio:
+//! `Lsei::{insert_table, remove_table}`) exist to make patching the
+//! indexes for one table O(cells of that table) instead of O(corpus). This
+//! experiment measures three sides on the CI smoke lake:
 //!
 //! * **delta**: one full remove+re-add cycle of a representative table,
 //!   patching postings, digests, and band buckets in place;
 //! * **rebuild**: postings + digests from scratch plus `Lsei::build` over
-//!   the whole corpus — what every mutation used to cost.
+//!   the whole corpus — what every mutation used to cost;
+//! * **commit**: the same remove and re-add as two `EpochLake::commit`s —
+//!   what a *served* mutation pays to publish a new snapshot around the
+//!   delta (fork the lake: names, schemas and the posting map are copied,
+//!   cells are shared). Reported, not asserted: it is wall time on this
+//!   box, and the number the delta/rebuild ratio leaves out.
 //!
 //! The acceptance bar is delta ≥ 10× cheaper than rebuild; the run fails
 //! loudly if the smoke lake ever regresses below that.
 
 use serde::Serialize;
 use std::time::Instant;
+use thetis::datalake::{EpochLake, Mutation};
 use thetis::lsh::lsei::LseiMode;
 use thetis::prelude::*;
 
@@ -28,6 +35,9 @@ const DELTA_ITERS: usize = 24;
 
 /// Full rebuilds timed on the baseline side.
 const REBUILD_ITERS: usize = 6;
+
+/// Remove+re-add cycles timed on the commit side (two commits each).
+const COMMIT_ITERS: usize = 24;
 
 /// The acceptance ratio: a delta must be at least this much cheaper than a
 /// rebuild on the smoke lake.
@@ -45,6 +55,10 @@ struct DeltaSummary {
     mean_rebuild_seconds: f64,
     /// `mean_rebuild_seconds / mean_delta_seconds`.
     speedup: f64,
+    commit_iters: usize,
+    /// Mean seconds for one single-mutation `EpochLake::commit` (snapshot
+    /// fork + lake delta + publish; no LSEI, no journal).
+    mean_commit_seconds: f64,
 }
 
 /// Runs the delta-vs-rebuild comparison.
@@ -94,22 +108,43 @@ pub fn run(ctx: &Ctx) -> String {
     }
     let mean_rebuild_seconds = start.elapsed().as_secs_f64() / REBUILD_ITERS as f64;
 
+    // Commit side: the same cycle through the snapshot store, one commit
+    // per mutation as the server issues them. The re-added table is copied
+    // out of the snapshot outside the timer (a served add arrives with its
+    // table).
+    let tables = lake.len();
+    let store = EpochLake::new(lake);
+    let mut commit_time = std::time::Duration::ZERO;
+    for _ in 0..COMMIT_ITERS {
+        let table = store.pin().table(victim).clone();
+        let start = Instant::now();
+        store.commit(vec![Mutation::Remove(victim)]);
+        store.commit(vec![Mutation::Add(table)]);
+        commit_time += start.elapsed();
+        victim = TableId::from_index(store.pin().len() - 1);
+    }
+    let mean_commit_seconds = commit_time.as_secs_f64() / (COMMIT_ITERS * 2) as f64;
+
     let speedup = mean_rebuild_seconds / mean_delta_seconds;
     let summary = DeltaSummary {
-        tables: lake.len(),
+        tables,
         entities: graph.entity_count(),
         delta_iters: DELTA_ITERS * 2,
         rebuild_iters: REBUILD_ITERS,
         mean_delta_seconds,
         mean_rebuild_seconds,
         speedup,
+        commit_iters: COMMIT_ITERS * 2,
+        mean_commit_seconds,
     };
     let line = format!(
-        "delta-maintenance: {} tables — delta {:.1}µs/mutation, rebuild {:.1}ms, speedup {:.0}x",
+        "delta-maintenance: {} tables — delta {:.1}µs/mutation, rebuild {:.1}ms, \
+         speedup {:.0}x; served commit {:.1}µs/mutation",
         summary.tables,
         mean_delta_seconds * 1e6,
         mean_rebuild_seconds * 1e3,
         speedup,
+        mean_commit_seconds * 1e6,
     );
     ctx.write_json(&format!("delta_summary{}", ctx.thread_suffix()), &summary);
     println!("{line}");

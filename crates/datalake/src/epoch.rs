@@ -4,16 +4,22 @@
 //! [`EpochLake`] publishes the lake as an immutable [`Arc`] snapshot.
 //! Readers [`EpochLake::pin`] the snapshot their search starts on and keep
 //! reading a consistent epoch-N view no matter how many mutations land
-//! concurrently; writers clone the current snapshot, apply a [`Mutation`]
-//! batch to the clone, and atomically swap it in (classic copy-on-write /
+//! concurrently; writers fork the current snapshot, apply a [`Mutation`]
+//! batch to the fork, and atomically swap it in (classic copy-on-write /
 //! RCU). A panic mid-batch — including the injected `lake.delta`
-//! failpoint — unwinds on the private clone *before* the swap, so the
+//! failpoint — unwinds on the private fork *before* the swap, so the
 //! previously published epoch stays readable and exact.
 //!
-//! The snapshot clone is deliberately coarse (the whole lake). What the
-//! delta machinery makes cheap is the *index maintenance*: postings,
-//! digests, and LSEI buckets are patched in O(table) instead of O(corpus)
-//! — see the `delta-maintenance` microbench.
+//! The cells of the lake exist once: [`DataLake::fork`] shares every
+//! table's rows (and digests) with the snapshot it starts from, and the
+//! batch then replaces whole tables, so successive snapshots differ only in
+//! the tables the batch touched. A commit is therefore O(cells of the
+//! changed tables) + O(index entries) — it is *not* O(table) end to end:
+//! the fork still copies every table's name and schema and the whole
+//! entity→tables posting map, and the serving layer above copies the LSEI
+//! and recomputes informativeness per commit. The `delta-maintenance`
+//! microbench reports that cost (`mean_commit_seconds`) beside the
+//! in-place delta and the full rebuild.
 
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -54,9 +60,9 @@ impl Mutation {
 /// A concurrently readable lake with generation-stamped snapshots.
 pub struct EpochLake {
     current: RwLock<Arc<DataLake>>,
-    /// Serializes committers: the copy-on-write cycle (pin → clone → apply
+    /// Serializes committers: the copy-on-write cycle (pin → fork → apply
     /// → swap) is not atomic on its own, so without this two concurrent
-    /// commits could clone the same base and one batch would be lost.
+    /// commits could fork the same base and one batch would be lost.
     writer: Mutex<()>,
 }
 
@@ -90,7 +96,7 @@ impl EpochLake {
         // poisoned guard only means an earlier batch panicked mid-apply —
         // it never published, so the current snapshot is still the base.
         let _writing = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let mut next = DataLake::clone(&self.pin());
+        let mut next = self.pin().fork();
         for m in batch {
             m.apply(&mut next);
         }

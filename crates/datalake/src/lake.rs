@@ -89,6 +89,30 @@ impl DataLake {
         lake
     }
 
+    /// The starting point of the next snapshot: the same lake, holding the
+    /// same cells. Every table's rows are shared with `self` (digests
+    /// already are); names, schemas, the posting map and the bookkeeping
+    /// sets are copied, so the cost is O(tables + posting entries), not
+    /// O(cells). Whatever is then done to the fork never shows through
+    /// `self`: the delta paths replace tables whole ([`DataLake::add_table`]
+    /// pushes, [`DataLake::remove_table`] swaps in a tombstone), and a write
+    /// through [`DataLake::table_mut`], [`DataLake::tables_mut`] or
+    /// [`DataLake::relink_table`] copies that one table's rows first.
+    ///
+    /// [`Clone`] remains the deep copy (every cell duplicated) for callers
+    /// that want an independent lake to link or mutate at no deferred cost.
+    pub fn fork(&self) -> Self {
+        Self {
+            tables: self.tables.iter().map(Table::share).collect(),
+            postings: self.postings.clone(),
+            digests: self.digests.clone(),
+            stale: self.stale.clone(),
+            bulk_dirty: self.bulk_dirty,
+            removed: self.removed.clone(),
+            epoch: self.epoch,
+        }
+    }
+
     /// Builds a lake from tables, computing postings eagerly.
     pub fn from_tables(tables: Vec<Table>) -> Self {
         let mut lake = Self {

@@ -1,5 +1,7 @@
 //! Tables: fixed-schema collections of rows.
 
+use std::sync::Arc;
+
 use thetis_kg::EntityId;
 
 use crate::value::CellValue;
@@ -25,13 +27,32 @@ impl TableId {
 /// A data-lake table: a name, a list of column names, and rows of cells.
 ///
 /// All rows share the schema (same arity); [`Table::push_row`] enforces it.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The rows sit behind an [`Arc`] so that successive lake snapshots can
+/// hold one table's cells once ([`DataLake::fork`](crate::DataLake::fork));
+/// a write through [`Table::push_row`] or [`Table::rows_mut`] copies them
+/// first if another snapshot still reads them.
+#[derive(Debug, PartialEq)]
 pub struct Table {
     /// Human-readable table name (file name in a real lake).
     pub name: String,
     /// Column names.
     pub columns: Vec<String>,
-    rows: Vec<Vec<CellValue>>,
+    rows: Arc<Vec<Vec<CellValue>>>,
+}
+
+/// A deep, independent copy — cells included, paid here and now. A derived
+/// (shallow) clone would defer the copy to the clone's first write, moving
+/// it from where callers expect it (outside their timers) to wherever they
+/// first link or mutate the copy.
+impl Clone for Table {
+    fn clone(&self) -> Self {
+        Self {
+            name: self.name.clone(),
+            columns: self.columns.clone(),
+            rows: Arc::new(Vec::clone(&self.rows)),
+        }
+    }
 }
 
 impl Table {
@@ -40,7 +61,18 @@ impl Table {
         Self {
             name: name.into(),
             columns,
-            rows: Vec::new(),
+            rows: Arc::default(),
+        }
+    }
+
+    /// A second handle on the same cells: name and schema are copied, the
+    /// rows are not. Only [`DataLake::fork`](crate::DataLake::fork) uses
+    /// this, so everywhere else a `Table` value owns what it reads.
+    pub(crate) fn share(&self) -> Self {
+        Self {
+            name: self.name.clone(),
+            columns: self.columns.clone(),
+            rows: Arc::clone(&self.rows),
         }
     }
 
@@ -57,7 +89,7 @@ impl Table {
             self.columns.len(),
             self.name
         );
-        self.rows.push(row);
+        Arc::make_mut(&mut self.rows).push(row);
     }
 
     /// Number of rows.
@@ -79,9 +111,10 @@ impl Table {
     }
 
     /// Mutable access to rows (used by linkers to attach entity links).
+    /// Copies the rows first when a forked snapshot shares them.
     #[inline]
     pub fn rows_mut(&mut self) -> &mut [Vec<CellValue>] {
-        &mut self.rows
+        Arc::make_mut(&mut self.rows).as_mut_slice()
     }
 
     /// The cell at `(row, col)`.
@@ -100,7 +133,7 @@ impl Table {
     pub fn distinct_entities(&self) -> Vec<EntityId> {
         let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
-        for row in &self.rows {
+        for row in self.rows.iter() {
             for cell in row {
                 if let Some(e) = cell.entity() {
                     if seen.insert(e) {
@@ -116,7 +149,7 @@ impl Table {
     pub fn link_coverage(&self) -> f64 {
         let mut cells = 0usize;
         let mut linked = 0usize;
-        for row in &self.rows {
+        for row in self.rows.iter() {
             for cell in row {
                 if !cell.is_null() {
                     cells += 1;

@@ -668,12 +668,17 @@ fn encode_checkpoint(lake: &DataLake) -> Vec<u8> {
     out
 }
 
-/// The checksummed structural parse of a checkpoint image: magic, length
-/// and checksum, then every table and tombstone id, returned in
-/// [`DataLake::from_snapshot`]'s argument order. This is everything that
-/// can reject a checkpoint — `from_snapshot` validates nothing — so the
-/// writer's read-back verification runs only this and builds no lake.
-fn parse_checkpoint(bytes: &[u8]) -> Result<(Vec<Table>, Vec<TableId>, LakeEpoch), String> {
+/// The checksummed structural walk of a checkpoint image: magic, length
+/// and checksum, then every table — handed to `sink` as it is decoded, in
+/// id order — and the tombstone ids, which are returned with the epoch.
+/// This is everything that can reject a checkpoint
+/// ([`DataLake::from_snapshot`] validates nothing), and it never holds more
+/// than the one table being decoded: [`read_checkpoint`] collects them, the
+/// writer's read-back verification drops each as it arrives.
+fn walk_checkpoint(
+    bytes: &[u8],
+    mut sink: impl FnMut(Table),
+) -> Result<(Vec<TableId>, LakeEpoch), String> {
     if bytes.len() < 4 + 8 + 4 + 4 + 8 {
         return Err("checkpoint truncated".into());
     }
@@ -688,9 +693,8 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<(Vec<Table>, Vec<TableId>, LakeEpoch
     let mut c = Cursor::new(&body[4..]);
     let epoch = c.u64()?;
     let n_tables = c.u32()? as usize;
-    let mut tables = Vec::with_capacity(n_tables.min(1 << 20));
     for _ in 0..n_tables {
-        tables.push(get_table(&mut c)?);
+        sink(get_table(&mut c)?);
     }
     let n_removed = c.u32()? as usize;
     let mut removed = Vec::with_capacity(n_removed.min(1 << 20));
@@ -700,6 +704,14 @@ fn parse_checkpoint(bytes: &[u8]) -> Result<(Vec<Table>, Vec<TableId>, LakeEpoch
     if !c.done() {
         return Err("trailing garbage in checkpoint".into());
     }
+    Ok((removed, epoch))
+}
+
+/// [`walk_checkpoint`] with a collecting sink, in
+/// [`DataLake::from_snapshot`]'s argument order.
+fn parse_checkpoint(bytes: &[u8]) -> Result<(Vec<Table>, Vec<TableId>, LakeEpoch), String> {
+    let mut tables = Vec::new();
+    let (removed, epoch) = walk_checkpoint(bytes, |t| tables.push(t))?;
     Ok((tables, removed, epoch))
 }
 
@@ -752,10 +764,11 @@ fn write_checkpoint_inner(lake: &DataLake, path: &Path) -> Result<(), String> {
             .and_then(|_| f.sync_all())
             .map_err(|e| format!("cannot write checkpoint: {e}"))?;
     }
-    // Read-back verification: parse what actually hit the disk. No lake
-    // is built from it — the caller holds the one being checkpointed.
+    // Read-back verification: walk what actually hit the disk, dropping
+    // each table as it decodes. Nothing is built from it — the caller
+    // holds the lake being checkpointed.
     let written = std::fs::read(&tmp).map_err(|e| format!("cannot re-read checkpoint: {e}"))?;
-    if let Err(e) = parse_checkpoint(&written) {
+    if let Err(e) = walk_checkpoint(&written, drop) {
         let _ = std::fs::remove_file(&tmp);
         return Err(format!("checkpoint failed read-back verification: {e}"));
     }
@@ -1131,9 +1144,11 @@ mod tests {
 
     #[test]
     fn read_back_parse_refuses_truncated_and_bit_flipped_images() {
-        // `write_checkpoint` verifies the temp file with `parse_checkpoint`
-        // alone (no lake is built), so the parse must reject on its own
-        // every torn or rotted image — whatever byte the damage hits.
+        // `write_checkpoint` verifies the temp file with `walk_checkpoint`
+        // and a `drop` sink (no table is kept, no lake is built), so the
+        // walk must reject on its own every torn or rotted image — whatever
+        // byte the damage hits — exactly as the collecting parse behind
+        // `read_checkpoint` does.
         let mut lake = base_lake();
         Mutation::Add(table("t2", 3)).apply(&mut lake);
         Mutation::Remove(TableId(0)).apply(&mut lake);
@@ -1142,19 +1157,21 @@ mod tests {
         assert_eq!(tables, lake.tables());
         assert_eq!(removed, lake.removed_ids().collect::<Vec<_>>());
         assert_eq!(epoch, lake.epoch());
+        assert_eq!(walk_checkpoint(&image, drop).unwrap(), (removed, epoch));
+        let refused_alike = |bytes: &[u8], damage: &str| {
+            let dropping = walk_checkpoint(bytes, drop)
+                .expect_err(&format!("{damage} was accepted by the read-back walk"));
+            let collecting = parse_checkpoint(bytes)
+                .expect_err(&format!("{damage} was accepted by the collecting parse"));
+            assert_eq!(dropping, collecting, "{damage}");
+        };
         for cut in 0..image.len() {
-            assert!(
-                parse_checkpoint(&image[..cut]).is_err(),
-                "image truncated to {cut} bytes was accepted"
-            );
+            refused_alike(&image[..cut], &format!("image truncated to {cut} bytes"));
         }
         for pos in 0..image.len() {
             let mut flipped = image.clone();
             flipped[pos] ^= 0x40;
-            assert!(
-                parse_checkpoint(&flipped).is_err(),
-                "bit flip at byte {pos} was accepted"
-            );
+            refused_alike(&flipped, &format!("bit flip at byte {pos}"));
         }
     }
 

@@ -9,6 +9,11 @@
 //! byte-for-byte what it was before the commit — while a *fresh* pin
 //! observes the new epoch. Repeated for many rounds so the interleaving
 //! around the publish gets exercised under real thread scheduling.
+//!
+//! The last two tests are the regression guard on *how* a commit keeps
+//! that promise: it forks the snapshot — sharing the cells of every table
+//! the batch does not touch — instead of copying the lake, checked by
+//! allocation address, never by a timer.
 
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -155,4 +160,86 @@ fn concurrent_commits_serialize_and_epochs_stay_monotonic() {
             "entity {e} posting count"
         );
     }
+}
+
+/// Where a table's cells live: two tables that report the same address
+/// read the same allocation. (Row-less tables — tombstones — all report
+/// the dangling address of an empty `Vec`, which compares equal to itself
+/// and to nothing allocated.)
+fn cells_at(lake: &DataLake, i: usize) -> *const Vec<CellValue> {
+    lake.tables()[i].rows().as_ptr()
+}
+
+/// The cells of a resident lake exist once: a commit publishes a snapshot
+/// that shares the rows of every table the batch did not touch with the
+/// snapshot before it, and replaces — never writes through — the ones it
+/// did. Exact and timing-free: addresses, not durations.
+#[test]
+fn commit_shares_untouched_tables_and_replaces_touched_ones() {
+    let store = EpochLake::new(DataLake::from_tables(vec![
+        table("keep0", &[1, 2]),
+        table("gone", &[2, 3]),
+        table("relinked", &[3, 4]),
+        table("keep1", &[4, 5]),
+    ]));
+    for (mutation, touched) in [
+        (Mutation::Add(table("added", &[6])), None),
+        (Mutation::Remove(TableId(1)), Some(1)),
+        (
+            Mutation::Relink(TableId(2), table("relinked", &[7, 8])),
+            Some(2),
+        ),
+    ] {
+        let pinned = store.pin();
+        let before = observe(&pinned);
+        let cells_before = pinned.tables().to_vec();
+        store.commit(vec![mutation]);
+        let next = store.pin();
+        for i in 0..pinned.len() {
+            if touched == Some(i) {
+                assert_ne!(cells_at(&next, i), cells_at(&pinned, i), "slot {i}");
+            } else {
+                assert_eq!(cells_at(&next, i), cells_at(&pinned, i), "slot {i}");
+            }
+        }
+        if touched.is_none() {
+            assert_eq!(next.len(), pinned.len() + 1, "the add landed in a new slot");
+        }
+        assert_eq!(observe(&pinned), before, "pinned snapshot drifted");
+        assert_eq!(pinned.tables(), cells_before, "pinned cells changed");
+    }
+}
+
+/// `Table::clone` is a deep copy and `DataLake::fork` a shared one, and
+/// neither lets a write reach the snapshot it came from.
+#[test]
+fn writes_to_a_clone_or_a_fork_never_reach_the_pinned_snapshot() {
+    let store = EpochLake::new(DataLake::from_tables(vec![
+        table("a", &[1, 2]),
+        table("b", &[2, 3]),
+    ]));
+    let pinned = store.pin();
+    let before = observe(&pinned);
+    let cells_before = pinned.tables().to_vec();
+
+    let mut copy = pinned.table(TableId(0)).clone();
+    assert_eq!(&copy, pinned.table(TableId(0)));
+    assert_ne!(copy.rows().as_ptr(), cells_at(&pinned, 0), "clone is deep");
+    copy.rows_mut()[0][0] = linked(99);
+    assert_eq!(pinned.table(TableId(0)).cell(0, 0), &linked(1));
+
+    let mut fork = pinned.fork();
+    for i in 0..pinned.len() {
+        assert_eq!(cells_at(&fork, i), cells_at(&pinned, i), "fork shares");
+    }
+    fork.table_mut(TableId(0)).rows_mut()[0][0] = linked(99);
+    fork.table_mut(TableId(0)).push_row(vec![linked(98)]);
+    assert_eq!(fork.table(TableId(0)).cell(0, 0), &linked(99));
+    assert_eq!(fork.table(TableId(0)).n_rows(), 3);
+    // The write copied that one table and nothing else.
+    assert_ne!(cells_at(&fork, 0), cells_at(&pinned, 0));
+    assert_eq!(cells_at(&fork, 1), cells_at(&pinned, 1));
+
+    assert_eq!(observe(&pinned), before, "pinned snapshot drifted");
+    assert_eq!(pinned.tables(), cells_before, "pinned cells changed");
 }

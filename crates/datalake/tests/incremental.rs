@@ -19,6 +19,11 @@
 //! * top-k rankings: bit-identical scores (`f64::to_bits`) in the same
 //!   order.
 //!
+//! Before each step the same op is also applied to a [`DataLake::fork`] of
+//! the lake and to a deep clone of it: the fork must come out equal to the
+//! clone, and the lake it was forked from must not have moved (the
+//! copy-on-write guarantee `EpochLake::commit` publishes snapshots on).
+//!
 //! The vendored proptest runner is fully deterministic (seeded from the
 //! test name), so the random cases themselves replay identically on every
 //! run. On top of that, [`PINNED_SEEDS`] pins a set of explicit RNG seeds
@@ -108,6 +113,22 @@ fn build_table(pool: &[EntityId], name: String, rows: &[(Option<u8>, Option<u8>)
     t
 }
 
+/// Two lakes a reader cannot tell apart: tables, postings, every digest,
+/// epoch and tombstones.
+fn assert_same_lake(a: &DataLake, b: &DataLake) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.tables(), b.tables());
+    prop_assert_eq!(a.postings(), b.postings());
+    for (id, _) in a.iter() {
+        prop_assert_eq!(a.digest(id), b.digest(id), "digest divergence at {:?}", id);
+    }
+    prop_assert_eq!(a.epoch(), b.epoch());
+    prop_assert_eq!(
+        a.removed_ids().collect::<Vec<_>>(),
+        b.removed_ids().collect::<Vec<_>>()
+    );
+    Ok(())
+}
+
 /// Bucket groups in canonical form: per band, a key-sorted map of sorted
 /// item lists.
 fn canonical_buckets<S>(lsei: &Lsei<S>) -> Vec<std::collections::BTreeMap<u64, Vec<u32>>> {
@@ -170,7 +191,51 @@ impl<'g> Harness<'g> {
         }
     }
 
+    /// The lake half of `op` on `lake`, which must be in the harness
+    /// lake's state. A relink writes *in place* (`rows_mut`, `push_row`)
+    /// where [`Harness::apply`] replaces the table whole: on a fork that
+    /// is the write that has to copy the shared rows first.
+    fn apply_to(&self, lake: &mut DataLake, op: &Op) {
+        match op {
+            Op::Add(rows) => {
+                let name = format!("t{}", self.next_name);
+                lake.add_table(build_table(self.pool, name, rows));
+            }
+            Op::Remove(sel) => {
+                if let Some(id) = self.pick(*sel) {
+                    lake.remove_table(id);
+                }
+            }
+            Op::Relink(sel, rows) => {
+                if let Some(id) = self.pick(*sel) {
+                    let new = build_table(self.pool, String::new(), rows);
+                    lake.relink_table(id, |dst| {
+                        for (old, new) in dst.rows_mut().iter_mut().zip(new.rows()) {
+                            old.clone_from(new);
+                        }
+                        for extra in new.rows().iter().skip(dst.n_rows()) {
+                            dst.push_row(extra.clone());
+                        }
+                    });
+                }
+            }
+            Op::Search(_) => {}
+        }
+    }
+
+    /// `op` on a fork of the lake equals `op` on a deep clone of it, and
+    /// leaves the lake itself exactly as a deep clone taken beforehand.
+    fn check_fork(&self, op: &Op) -> Result<(), TestCaseError> {
+        let mut deep = self.lake.clone();
+        let mut fork = self.lake.fork();
+        self.apply_to(&mut fork, op);
+        assert_same_lake(&self.lake, &deep)?;
+        self.apply_to(&mut deep, op);
+        assert_same_lake(&fork, &deep)
+    }
+
     fn apply(&mut self, op: &Op) -> Result<(), TestCaseError> {
+        self.check_fork(op)?;
         match op {
             Op::Add(rows) => {
                 let name = format!("t{}", self.next_name);

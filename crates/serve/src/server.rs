@@ -311,9 +311,12 @@ impl Server {
                 report.wal_enabled = true;
                 let checkpoint = path.with_extension("ckpt");
                 if checkpoint.exists() {
-                    let recovered = thetis_datalake::read_checkpoint(&checkpoint)?;
-                    report.checkpoint_epoch = Some(recovered.epoch());
-                    lake = recovered;
+                    // The checkpoint replaces the base, so the base goes
+                    // first: recovery never holds two lakes. A failed read
+                    // returns `Err` — the base was ours to drop either way.
+                    drop(std::mem::take(&mut lake));
+                    lake = thetis_datalake::read_checkpoint(&checkpoint)?;
+                    report.checkpoint_epoch = Some(lake.epoch());
                 }
                 let (wal, replay) = Wal::recover(path)?;
                 report.torn = replay.torn;

@@ -296,6 +296,34 @@ fn append_fault_fails_the_mutation_closed() {
     cleanup(&[&wal, &crashed]);
 }
 
+/// A checkpoint that rotted on disk stops the boot: `Server::recover`
+/// drops the base lake before it reads the checkpoint, so the only honest
+/// outcomes are the checkpointed lake or an error naming the damage —
+/// never a panic, never a server quietly serving the base.
+#[test]
+fn bit_flipped_checkpoint_fails_recovery_closed() {
+    let _g = serial();
+    faults::disarm();
+    let wal = temp_path("ckpt-rot");
+    let ckpt = wal.with_extension("ckpt");
+    let (graph, lake, _) = demo_world();
+    thetis_datalake::write_checkpoint(&lake, &ckpt).unwrap();
+    let mut bytes = std::fs::read(&ckpt).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&ckpt, &bytes).unwrap();
+
+    let config = ServerConfig {
+        wal: Some(wal.clone()),
+        ..ServerConfig::default()
+    };
+    let err = Server::recover(graph, lake, None, config)
+        .err()
+        .expect("a corrupt checkpoint must not boot");
+    assert!(err.contains("checksum"), "{err}");
+    cleanup(&[&wal]);
+}
+
 /// A failing checkpoint turns health `degraded` (with the failure named in
 /// the reasons) while the previous checkpoint and the journal survive;
 /// the next successful checkpoint clears the rung.
