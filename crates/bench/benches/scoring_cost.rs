@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use thetis::core::search::{score_table, ScoreTimings};
+use thetis::obs::QueryTrace;
 use thetis::prelude::*;
 use thetis_bench::BenchData;
 
@@ -21,6 +22,7 @@ fn bench_scoring(c: &mut Criterion) {
         .map(|(id, _)| id)
         .unwrap();
 
+    let off = QueryTrace::disabled();
     let mut group = c.benchmark_group("score_table");
     for (qname, query) in [
         ("1-tuple", Query::new(data.bench.queries1[0].tuples.clone())),
@@ -37,6 +39,7 @@ fn bench_scoring(c: &mut Criterion) {
                     &inform,
                     RowAgg::Max,
                     &mut t,
+                    &off,
                 )
             })
         });
@@ -51,6 +54,7 @@ fn bench_scoring(c: &mut Criterion) {
                     &inform,
                     RowAgg::Max,
                     &mut t,
+                    &off,
                 )
             })
         });

@@ -12,6 +12,7 @@
 use serde::Serialize;
 use thetis::core::search::{score_table, ScoreTimings};
 use thetis::lsh::lsei::LseiMode;
+use thetis::obs::QueryTrace;
 use thetis::prelude::*;
 
 use crate::context::Ctx;
@@ -167,6 +168,7 @@ pub fn run(ctx: &Ctx) -> String {
         .expect("smoke lake is non-empty");
     let query = Query::new(data.bench.queries1[0].tuples.clone());
     let mut checksum = 0.0f64;
+    let off = QueryTrace::disabled();
     for _ in 0..SMOKE_SCORE_ITERS {
         let mut t = ScoreTimings::default();
         checksum += score_table(
@@ -177,10 +179,20 @@ pub fn run(ctx: &Ctx) -> String {
             &inform,
             RowAgg::Max,
             &mut t,
+            &off,
         )
         .unwrap_or_default();
-        checksum += score_table(&query, lake, target, &emb_sim, &inform, RowAgg::Max, &mut t)
-            .unwrap_or_default();
+        checksum += score_table(
+            &query,
+            lake,
+            target,
+            &emb_sim,
+            &inform,
+            RowAgg::Max,
+            &mut t,
+            &off,
+        )
+        .unwrap_or_default();
     }
     assert!(checksum.is_finite(), "smoke scoring diverged");
 

@@ -4,6 +4,7 @@
 
 use serde::Serialize;
 use thetis::baselines::union_search::tuples_to_columns;
+use thetis::obs::QueryTrace;
 use thetis::prelude::*;
 
 use crate::context::BenchData;
@@ -204,17 +205,15 @@ pub fn prefiltered_aggregated_report(
     let lsei = build_lsei(data, sim, cfg);
     let options = SearchOptions::top(k);
     let name = format!("{}{} colAgg", sim.letter(), cfg);
+    let off = QueryTrace::disabled();
     let mut reductions = Vec::new();
     let report = match &lsei {
         LseiVariant::Types(lsei) => {
             let engine = ThetisEngine::new(graph, &data.bench.lake, TypeJaccard::new(graph));
             MethodReport::run(&name, queries, gt, |q| {
-                let res = engine.search_prefiltered_aggregated(
-                    &Query::new(q.tuples.clone()),
-                    options,
-                    lsei,
-                    votes,
-                );
+                let query = Query::new(q.tuples.clone());
+                let candidates = Candidates::lsei_aggregated(lsei, &query, votes);
+                let res = engine.execute(&query, options, candidates, None, &off);
                 reductions.push(res.stats.reduction);
                 res.table_ids()
             })
@@ -223,12 +222,9 @@ pub fn prefiltered_aggregated_report(
             let engine =
                 ThetisEngine::new(graph, &data.bench.lake, EmbeddingCosine::new(&data.store));
             MethodReport::run(&name, queries, gt, |q| {
-                let res = engine.search_prefiltered_aggregated(
-                    &Query::new(q.tuples.clone()),
-                    options,
-                    lsei,
-                    votes,
-                );
+                let query = Query::new(q.tuples.clone());
+                let candidates = Candidates::lsei_aggregated(lsei, &query, votes);
+                let res = engine.execute(&query, options, candidates, None, &off);
                 reductions.push(res.stats.reduction);
                 res.table_ids()
             })

@@ -1,18 +1,19 @@
-//! The Thetis search engine: Algorithm 1 + optional LSEI prefiltering
-//! behind a single API.
+//! The Thetis search engine: one pipeline — a [`Candidates`] source, then
+//! Algorithm 1 over those tables, then top-`k` — behind
+//! [`ThetisEngine::execute`].
 
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use thetis_datalake::{DataLake, TableId};
 use thetis_kg::KnowledgeGraph;
-use thetis_lsh::lsei::{EntitySigner, Lsei};
+use thetis_lsh::lsei::{EntitySigner, Lsei, PrefilterResult};
+use thetis_obs::QueryTrace;
 
 use crate::cache::{CachedSimilarity, CountingSimilarity, SimilarityCache};
 use crate::informativeness::Informativeness;
 use crate::query::Query;
-use crate::search::{
-    score_candidates_pruned_traced, score_candidates_traced, Schedule, ScoreTimings,
-};
+use crate::search::{score_candidates, score_candidates_pruned, Schedule, ScoreTimings};
 use crate::semrel::RowAgg;
 use crate::similarity::{EntitySimilarity, SigmaKernel};
 use crate::topk::TopK;
@@ -265,6 +266,80 @@ impl SearchResult {
     }
 }
 
+/// Which tables [`ThetisEngine::execute`] scores — the only thing that
+/// differs between the paper's search modes.
+#[derive(Debug)]
+pub enum Candidates<'c> {
+    /// Every table of the lake: brute-force Algorithm 1.
+    Lake,
+    /// An explicit candidate set from some other prefilter (e.g. the BM25
+    /// prefilter of §7.3).
+    Among(&'c [TableId]),
+    /// The survivors of an LSEI lookup (§6, §6.2) and the lookup's wall
+    /// time, reported as [`SearchStats::prefilter_nanos`].
+    Prefiltered {
+        /// Surviving tables, sorted and deduplicated.
+        tables: Vec<TableId>,
+        /// Wall time of the lookup, nanoseconds.
+        nanos: u64,
+    },
+    /// The LSEI rung of the degradation ladder: the index was missing,
+    /// truncated, failed its checksum or is in a retired format, so the
+    /// whole lake is scanned and the result is marked
+    /// `degraded_reason.lsei_fallback`.
+    Fallback,
+}
+
+impl<'c> Candidates<'c> {
+    /// The §6 LSEI entity lookup over the query's distinct entities, with
+    /// per-entity band matches and per-table votes recorded on an active
+    /// `trace` (see
+    /// [`Lsei::prefilter_traced`](thetis_lsh::lsei::Lsei::prefilter_traced)).
+    /// `None` — no usable index — yields [`Candidates::Fallback`].
+    pub fn lsei<Sg: EntitySigner>(
+        index: Option<&Lsei<Sg>>,
+        query: &Query,
+        votes: usize,
+        trace: &QueryTrace,
+    ) -> Self {
+        match index {
+            Some(index) => {
+                Self::timed(|| index.prefilter_traced(&query.distinct_entities(), votes, trace))
+            }
+            None => Self::Fallback,
+        }
+    }
+
+    /// The §6.2 lookup with query-side column aggregation: the entities at
+    /// each tuple position merge into one LSEI lookup, so a 5-tuple query
+    /// costs as much as a 1-tuple query.
+    pub fn lsei_aggregated<Sg: EntitySigner>(
+        index: &Lsei<Sg>,
+        query: &Query,
+        votes: usize,
+    ) -> Self {
+        Self::timed(|| {
+            // Transpose tuples into per-position entity groups.
+            let mut columns: Vec<Vec<thetis_kg::EntityId>> = vec![Vec::new(); query.width()];
+            for tuple in &query.tuples {
+                for (i, &e) in tuple.iter().enumerate() {
+                    columns[i].push(e);
+                }
+            }
+            index.prefilter_aggregated(&columns, votes)
+        })
+    }
+
+    fn timed(prefilter: impl FnOnce() -> PrefilterResult) -> Self {
+        let start = Instant::now();
+        let tables = prefilter().tables;
+        Self::Prefiltered {
+            tables,
+            nanos: start.elapsed().as_nanos() as u64,
+        }
+    }
+}
+
 /// The semantic table search engine of the paper, parameterized by the
 /// entity similarity `σ` (types or embeddings).
 pub struct ThetisEngine<'a, S> {
@@ -323,205 +398,8 @@ impl<'a, S: EntitySimilarity> ThetisEngine<'a, S> {
 
     /// Brute-force semantic search (Algorithm 1) over the whole lake.
     pub fn search(&self, query: &Query, options: SearchOptions) -> SearchResult {
-        let all: Vec<TableId> = (0..self.lake.len() as u32).map(TableId).collect();
-        self.search_candidates(query, options, &all, 0, 0.0)
-    }
-
-    /// [`ThetisEngine::search`] with a flight recorder attached: an active
-    /// trace receives the full per-query event stream (Hungarian mappings,
-    /// per-tuple SemRel breakdowns, prune decisions, σ-cache summary,
-    /// ranked results, phase timings). Pass [`QueryTrace::disabled`]
-    /// (or a sampled-out handle) for zero extra work.
-    ///
-    /// [`QueryTrace::disabled`]: thetis_obs::QueryTrace::disabled
-    pub fn search_traced(
-        &self,
-        query: &Query,
-        options: SearchOptions,
-        trace: &thetis_obs::QueryTrace,
-    ) -> SearchResult {
-        let all: Vec<TableId> = (0..self.lake.len() as u32).map(TableId).collect();
-        self.search_candidates_cached(query, options, &all, 0, 0.0, None, trace)
-    }
-
-    /// Brute-force search memoizing σ into a caller-provided cache, so the
-    /// memo outlives one call: repeating a search against an already-warm
-    /// cache computes no σ at all (hit rate 1.0). The caller must clear or
-    /// replace the cache when the underlying similarity changes.
-    pub fn search_with_cache(
-        &self,
-        query: &Query,
-        options: SearchOptions,
-        cache: &SimilarityCache,
-    ) -> SearchResult {
-        let all: Vec<TableId> = (0..self.lake.len() as u32).map(TableId).collect();
-        self.search_candidates_cached(
-            query,
-            options,
-            &all,
-            0,
-            0.0,
-            Some(cache),
-            &thetis_obs::QueryTrace::disabled(),
-        )
-    }
-
-    /// Semantic search with LSEI prefiltering (§6): only tables surviving
-    /// the voting prefilter are scored.
-    pub fn search_prefiltered<Sg: EntitySigner>(
-        &self,
-        query: &Query,
-        options: SearchOptions,
-        lsei: &Lsei<Sg>,
-        votes: usize,
-    ) -> SearchResult {
-        self.search_prefiltered_traced(
-            query,
-            options,
-            lsei,
-            votes,
-            &thetis_obs::QueryTrace::disabled(),
-        )
-    }
-
-    /// [`ThetisEngine::search_prefiltered`] with a flight recorder attached:
-    /// the LSEI lookup additionally records its per-entity band matches and
-    /// per-table vote counts (see
-    /// [`Lsei::prefilter_traced`](thetis_lsh::lsei::Lsei::prefilter_traced)),
-    /// followed by the full scoring event stream.
-    pub fn search_prefiltered_traced<Sg: EntitySigner>(
-        &self,
-        query: &Query,
-        options: SearchOptions,
-        lsei: &Lsei<Sg>,
-        votes: usize,
-        trace: &thetis_obs::QueryTrace,
-    ) -> SearchResult {
-        let start = Instant::now();
-        let pre = lsei.prefilter_traced(&query.distinct_entities(), votes, trace);
-        let prefilter_nanos = start.elapsed().as_nanos() as u64;
-        let reduction = pre.reduction(self.lake.len());
-        self.search_candidates_cached(
-            query,
-            options,
-            &pre.tables,
-            prefilter_nanos,
-            reduction,
-            None,
-            trace,
-        )
-    }
-
-    /// Prefiltered search that tolerates a missing or unverifiable index —
-    /// the degradation ladder's LSEI rung. Pass `Some(lsei)` for the
-    /// normal prefiltered path; pass `None` (the index file was missing,
-    /// truncated, or failed its checksum) to fall back to an exhaustive
-    /// scan of the whole lake. The fallback bumps the `lsei.fallback`
-    /// counter, records an `lsei.fallback` trace event, and marks the
-    /// result `degraded` with `degraded_reason.lsei_fallback` so callers
-    /// can warn — but the ranking itself is *complete* (every table was
-    /// considered), just slower to produce.
-    pub fn search_prefiltered_resilient<Sg: EntitySigner>(
-        &self,
-        query: &Query,
-        options: SearchOptions,
-        lsei: Option<&Lsei<Sg>>,
-        votes: usize,
-        trace: &thetis_obs::QueryTrace,
-    ) -> SearchResult {
-        match lsei {
-            Some(index) => self.search_prefiltered_traced(query, options, index, votes, trace),
-            None => {
-                if thetis_obs::enabled() {
-                    OBS_LSEI_FALLBACK.inc();
-                }
-                trace.record_with("lsei.fallback", || {
-                    thetis_obs::trace_attrs![("tables", self.lake.len())]
-                });
-                let mut res = self.search_traced(query, options, trace);
-                res.stats.degraded = true;
-                res.stats.degraded_reason.lsei_fallback = true;
-                res
-            }
-        }
-    }
-
-    /// [`ThetisEngine::search_prefiltered_resilient`] memoizing σ into a
-    /// caller-provided cache that outlives the call — the request path of a
-    /// resident service, where one
-    /// [`SharedSimilarityCache`](crate::cache::SharedSimilarityCache)
-    /// (already resolved to its inner [`SimilarityCache`] via
-    /// `for_epoch`) is shared across every concurrent query. Per-request
-    /// [`SearchStats`] σ counters are deltas over the shared counters, so
-    /// a repeat query against a warm cache reports
-    /// [`SearchStats::sigma_hit_rate`] of 1.0. Falls back to an exhaustive
-    /// scan (marked `degraded_reason.lsei_fallback`) when `lsei` is
-    /// `None`, exactly like the resilient path.
-    pub fn search_prefiltered_shared<Sg: EntitySigner>(
-        &self,
-        query: &Query,
-        options: SearchOptions,
-        lsei: Option<&Lsei<Sg>>,
-        votes: usize,
-        cache: &SimilarityCache,
-        trace: &thetis_obs::QueryTrace,
-    ) -> SearchResult {
-        match lsei {
-            Some(index) => {
-                let start = Instant::now();
-                let pre = index.prefilter_traced(&query.distinct_entities(), votes, trace);
-                let prefilter_nanos = start.elapsed().as_nanos() as u64;
-                let reduction = pre.reduction(self.lake.len());
-                self.search_candidates_cached(
-                    query,
-                    options,
-                    &pre.tables,
-                    prefilter_nanos,
-                    reduction,
-                    Some(cache),
-                    trace,
-                )
-            }
-            None => {
-                if thetis_obs::enabled() {
-                    OBS_LSEI_FALLBACK.inc();
-                }
-                trace.record_with("lsei.fallback", || {
-                    thetis_obs::trace_attrs![("tables", self.lake.len())]
-                });
-                let all: Vec<TableId> = (0..self.lake.len() as u32).map(TableId).collect();
-                let mut res =
-                    self.search_candidates_cached(query, options, &all, 0, 0.0, Some(cache), trace);
-                res.stats.degraded = true;
-                res.stats.degraded_reason.lsei_fallback = true;
-                res
-            }
-        }
-    }
-
-    /// Prefiltered search with query-side column aggregation (§6.2): the
-    /// entities at each tuple position merge into one LSEI lookup, so a
-    /// 5-tuple query costs as much as a 1-tuple query.
-    pub fn search_prefiltered_aggregated<Sg: EntitySigner>(
-        &self,
-        query: &Query,
-        options: SearchOptions,
-        lsei: &Lsei<Sg>,
-        votes: usize,
-    ) -> SearchResult {
-        let start = Instant::now();
-        // Transpose tuples into per-position entity groups.
-        let width = query.width();
-        let mut columns: Vec<Vec<thetis_kg::EntityId>> = vec![Vec::new(); width];
-        for tuple in &query.tuples {
-            for (i, &e) in tuple.iter().enumerate() {
-                columns[i].push(e);
-            }
-        }
-        let pre = lsei.prefilter_aggregated(&columns, votes);
-        let prefilter_nanos = start.elapsed().as_nanos() as u64;
-        let reduction = pre.reduction(self.lake.len());
-        self.search_candidates(query, options, &pre.tables, prefilter_nanos, reduction)
+        let off = QueryTrace::disabled();
+        self.execute(query, options, Candidates::Lake, None, &off)
     }
 
     /// Semantic search restricted to an explicit candidate set (used for
@@ -533,44 +411,83 @@ impl<'a, S: EntitySimilarity> ThetisEngine<'a, S> {
         options: SearchOptions,
         candidates: &[TableId],
     ) -> SearchResult {
+        let off = QueryTrace::disabled();
+        self.execute(query, options, Candidates::Among(candidates), None, &off)
+    }
+
+    /// Semantic search with LSEI prefiltering (§6): only tables surviving
+    /// the voting prefilter are scored.
+    pub fn search_prefiltered<Sg: EntitySigner>(
+        &self,
+        query: &Query,
+        options: SearchOptions,
+        lsei: &Lsei<Sg>,
+        votes: usize,
+    ) -> SearchResult {
+        let off = QueryTrace::disabled();
+        let candidates = Candidates::lsei(Some(lsei), query, votes, &off);
+        self.execute(query, options, candidates, None, &off)
+    }
+
+    /// The one search pipeline: Algorithm 1 over `candidates`, then top-`k`.
+    /// Every other search method is a one-liner over this.
+    ///
+    /// `memo` is a caller-provided σ cache that outlives the call — the
+    /// request path of a resident service, where one
+    /// [`SharedSimilarityCache`](crate::cache::SharedSimilarityCache)
+    /// (already resolved to its inner [`SimilarityCache`] via `for_epoch`)
+    /// is shared across every concurrent query. Per-request [`SearchStats`]
+    /// σ counters are deltas over the cache's counters, so a repeat query
+    /// against a warm cache computes no σ at all
+    /// ([`SearchStats::sigma_hit_rate`] of 1.0). The caller must clear or
+    /// replace the cache when the underlying similarity changes. `None`
+    /// uses a query-scoped memo when [`SearchOptions::memoize`] is set.
+    ///
+    /// An active `trace` receives the full per-query event stream (LSEI
+    /// band matches and votes when the candidates came from
+    /// [`Candidates::lsei`], Hungarian mappings, per-tuple SemRel
+    /// breakdowns, prune decisions, σ-cache summary, ranked results, phase
+    /// timings). Pass [`QueryTrace::disabled`] (or a sampled-out handle)
+    /// for zero extra work.
+    ///
+    /// [`Candidates::Fallback`] — the degradation ladder's LSEI rung —
+    /// bumps the `lsei.fallback` counter, records an `lsei.fallback` trace
+    /// event, scans the whole lake and marks the result `degraded` with
+    /// `degraded_reason.lsei_fallback` so callers can warn; the ranking
+    /// itself is *complete* (every table was considered), just slower to
+    /// produce.
+    pub fn execute(
+        &self,
+        query: &Query,
+        options: SearchOptions,
+        candidates: Candidates<'_>,
+        memo: Option<&SimilarityCache>,
+        trace: &QueryTrace,
+    ) -> SearchResult {
+        let lsei_fallback = matches!(candidates, Candidates::Fallback);
+        if lsei_fallback {
+            if thetis_obs::enabled() {
+                OBS_LSEI_FALLBACK.inc();
+            }
+            trace.record_with("lsei.fallback", || {
+                thetis_obs::trace_attrs![("tables", self.lake.len())]
+            });
+        }
+        let (candidates, prefilter_nanos): (Cow<'_, [TableId]>, u64) = match candidates {
+            Candidates::Lake | Candidates::Fallback => (
+                Cow::Owned((0..self.lake.len() as u32).map(TableId).collect()),
+                0,
+            ),
+            Candidates::Among(tables) => (Cow::Borrowed(tables), 0),
+            Candidates::Prefiltered { tables, nanos } => (Cow::Owned(tables), nanos),
+        };
+        let candidates: &[TableId] = &candidates;
         let reduction = if self.lake.is_empty() {
             0.0
         } else {
             1.0 - candidates.len() as f64 / self.lake.len() as f64
         };
-        self.search_candidates(query, options, candidates, 0, reduction)
-    }
 
-    fn search_candidates(
-        &self,
-        query: &Query,
-        options: SearchOptions,
-        candidates: &[TableId],
-        prefilter_nanos: u64,
-        reduction: f64,
-    ) -> SearchResult {
-        self.search_candidates_cached(
-            query,
-            options,
-            candidates,
-            prefilter_nanos,
-            reduction,
-            None,
-            &thetis_obs::QueryTrace::disabled(),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn search_candidates_cached(
-        &self,
-        query: &Query,
-        options: SearchOptions,
-        candidates: &[TableId],
-        prefilter_nanos: u64,
-        reduction: f64,
-        external: Option<&SimilarityCache>,
-        trace: &thetis_obs::QueryTrace,
-    ) -> SearchResult {
         let _search = OBS_SEARCH.start();
         let start = Instant::now();
         // The epoch of the (pinned) lake view this whole search reads.
@@ -579,8 +496,8 @@ impl<'a, S: EntitySimilarity> ThetisEngine<'a, S> {
             thetis_obs::trace_attrs![("epoch", lake_epoch)]
         });
         // A query-scoped memo, unless the caller brought a longer-lived one.
-        let owned = (external.is_none() && options.memoize).then(SimilarityCache::new);
-        let cache = external.or(owned.as_ref());
+        let owned = (memo.is_none() && options.memoize).then(SimilarityCache::new);
+        let cache = memo.or(owned.as_ref());
         let before = cache.map(|c| c.stats());
 
         let sched = options.schedule();
@@ -589,7 +506,7 @@ impl<'a, S: EntitySimilarity> ThetisEngine<'a, S> {
         let deadline_at = options.deadline.map(|d| start + d);
         let run = |sim: &(dyn EntitySimilarity + Sync)| {
             if options.prune {
-                score_candidates_pruned_traced(
+                score_candidates_pruned(
                     query,
                     self.lake,
                     candidates,
@@ -602,7 +519,7 @@ impl<'a, S: EntitySimilarity> ThetisEngine<'a, S> {
                     trace,
                 )
             } else {
-                score_candidates_traced(
+                score_candidates(
                     query,
                     self.lake,
                     candidates,
@@ -699,9 +616,12 @@ impl<'a, S: EntitySimilarity> ThetisEngine<'a, S> {
                 reduction,
                 prefilter_nanos,
                 total_nanos,
-                degraded,
+                degraded: degraded || lsei_fallback,
                 tables_unscored,
-                degraded_reason,
+                degraded_reason: DegradedReasons {
+                    lsei_fallback,
+                    ..degraded_reason
+                },
                 lake_epoch,
                 timings,
             },
@@ -787,7 +707,9 @@ mod tests {
         let signer = TypeSigner::new(&g, TypeFilter::none(), cfg, 7);
         let lsei = Lsei::build(&lake, signer, cfg, LseiMode::Entity);
         let q = Query::single(vec![players[0], players[1]]);
-        let res = engine.search_prefiltered_aggregated(&q, SearchOptions::top(2), &lsei, 1);
+        let candidates = Candidates::lsei_aggregated(&lsei, &q, 1);
+        let off = QueryTrace::disabled();
+        let res = engine.execute(&q, SearchOptions::top(2), candidates, None, &off);
         assert!(res.table_ids().contains(&TableId(0)));
     }
 
@@ -913,8 +835,18 @@ mod tests {
         let engine = ThetisEngine::new(&g, &lake, TypeJaccard::new(&g));
         let q = Query::single(vec![players[0], players[1]]);
         let cache = crate::cache::SimilarityCache::new();
-        let first = engine.search_with_cache(&q, SearchOptions::top(4), &cache);
-        let second = engine.search_with_cache(&q, SearchOptions::top(4), &cache);
+        let off = QueryTrace::disabled();
+        let run = || {
+            engine.execute(
+                &q,
+                SearchOptions::top(4),
+                Candidates::Lake,
+                Some(&cache),
+                &off,
+            )
+        };
+        let first = run();
+        let second = run();
         assert_eq!(first.ranked, second.ranked);
         assert!(first.stats.sigma_computed() > 0);
         assert_eq!(second.stats.sigma_computed(), 0);
@@ -934,24 +866,27 @@ mod tests {
             ..SearchOptions::top(4)
         };
         let shared = crate::cache::SharedSimilarityCache::new(lake.epoch(), 8, 0);
-        let off = thetis_obs::QueryTrace::disabled();
+        let off = QueryTrace::disabled();
 
         let cache = shared.for_epoch(lake.epoch());
-        let first = engine.search_prefiltered_shared(&q, opts, Some(&lsei), 1, cache, &off);
+        let served = |index: Option<&Lsei<TypeSigner<'_>>>| {
+            let candidates = Candidates::lsei(index, &q, 1, &off);
+            engine.execute(&q, opts, candidates, Some(cache), &off)
+        };
+        let first = served(Some(&lsei));
         let plain = engine.search_prefiltered(&q, opts, &lsei, 1);
         assert_eq!(first.ranked, plain.ranked);
         assert!(first.stats.sigma_computed() > 0);
         assert!(!first.stats.degraded);
 
         // Second identical request: served entirely from the shared memo.
-        let second = engine.search_prefiltered_shared(&q, opts, Some(&lsei), 1, cache, &off);
+        let second = served(Some(&lsei));
         assert_eq!(second.ranked, first.ranked);
         assert_eq!(second.stats.sigma_computed(), 0);
         assert_eq!(second.stats.sigma_hit_rate(), 1.0);
 
         // Missing index: complete ranking, marked as the fallback rung.
-        let fallback =
-            engine.search_prefiltered_shared::<TypeSigner<'_>>(&q, opts, None, 1, cache, &off);
+        let fallback = served(None);
         assert!(fallback.stats.degraded);
         assert!(fallback.stats.degraded_reason.lsei_fallback);
         assert_eq!(fallback.ranked, engine.search(&q, opts).ranked);
@@ -971,8 +906,12 @@ mod tests {
         };
 
         let plain = engine.search_prefiltered(&q, opts, &lsei, 1);
-        let trace = thetis_obs::QueryTrace::forced(0xABCD);
-        let traced = engine.search_prefiltered_traced(&q, opts, &lsei, 1, &trace);
+        let traced_run = |trace: &QueryTrace| {
+            let candidates = Candidates::lsei(Some(&lsei), &q, 1, trace);
+            engine.execute(&q, opts, candidates, None, trace)
+        };
+        let trace = QueryTrace::forced(0xABCD);
+        let traced = traced_run(&trace);
         assert_eq!(plain.ranked, traced.ranked);
 
         let events = trace.events();
@@ -1006,8 +945,8 @@ mod tests {
         assert_eq!(parsed.events, events);
 
         // A disabled trace records nothing and does not perturb results.
-        let off = thetis_obs::QueryTrace::disabled();
-        let silent = engine.search_prefiltered_traced(&q, opts, &lsei, 1, &off);
+        let off = QueryTrace::disabled();
+        let silent = traced_run(&off);
         assert_eq!(silent.ranked, plain.ranked);
         assert!(off.is_empty());
     }

@@ -12,7 +12,7 @@ use thetis_kg::EntityId;
 use thetis_lsh::lsei::AdmissionEvidence;
 
 use crate::informativeness::Informativeness;
-use crate::mapping::map_tuple_to_columns_detailed;
+use crate::mapping::map_tuple_to_columns;
 use crate::query::Query;
 use crate::semrel::{distance_score, RowAgg};
 use crate::similarity::EntitySimilarity;
@@ -108,7 +108,7 @@ pub fn explain(
     let table = lake.table(table_id);
     let mut tuples = Vec::with_capacity(query.len());
     for tuple in &query.tuples {
-        let (mapping, relevance) = map_tuple_to_columns_detailed(tuple, table, sim);
+        let (mapping, relevance) = map_tuple_to_columns(tuple, table, sim);
         let mut matches: Vec<EntityMatch> = tuple
             .iter()
             .zip(mapping.columns.iter().zip(&relevance))
@@ -173,6 +173,7 @@ pub fn matches_fast_path(
         inform,
         RowAgg::Max,
         &mut timings,
+        &thetis_obs::QueryTrace::disabled(),
     );
     match fast {
         Some(s) => (s - explanation.score).abs() < 1e-9,

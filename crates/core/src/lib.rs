@@ -19,8 +19,12 @@
 //! 4. converting the informativeness-weighted Euclidean distance from the
 //!    perfect match into a similarity via `1 / (D_I + 1)` ([`semrel`]).
 //!
-//! [`engine::ThetisEngine`] packages the whole pipeline — with optional LSEI
-//! prefiltering (§6) and parallel table scoring — behind one API. Scoring
+//! [`engine::ThetisEngine`] packages the whole pipeline behind one method,
+//! [`ThetisEngine::execute`]: a [`Candidates`] source (the whole lake, an
+//! LSEI prefilter of §6/§6.2, or any other candidate set such as §7.3's
+//! BM25), then Algorithm 1 over those tables with parallel scoring, then
+//! top-`k`; `search`, `search_among` and `search_prefiltered` are
+//! one-line shorthands for it. Scoring
 //! cost is further cut by a query-scoped σ memo ([`cache`]) and by
 //! upper-bound pruning ([`search::upper_bound_score`]) that skips the
 //! Hungarian mapping for tables that cannot reach the current top-k floor;
@@ -44,7 +48,9 @@ pub mod topk;
 pub use cache::{
     CacheStats, CachedSimilarity, CountingSimilarity, SharedSimilarityCache, SimilarityCache,
 };
-pub use engine::{DegradedReasons, SearchOptions, SearchResult, SearchStats, ThetisEngine};
+pub use engine::{
+    Candidates, DegradedReasons, SearchOptions, SearchResult, SearchStats, ThetisEngine,
+};
 pub use explain::{explain, EntityMatch, Explanation, TupleExplanation};
 pub use informativeness::Informativeness;
 pub use query::{EntityTuple, Query};

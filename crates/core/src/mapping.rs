@@ -70,43 +70,33 @@ pub fn score_matrix_digest(
     matrix
 }
 
-/// [`map_tuple_to_columns_detailed`] over a digest and precomputed σ rows:
+/// [`map_tuple_to_columns`] over a digest and precomputed σ rows:
 /// identical mapping and relevance, no raw-row work.
-pub fn map_tuple_to_columns_digest_detailed(
+pub fn map_tuple_to_columns_digest(
     tuple: &EntityTuple,
     digest: &TableDigest,
     sigma: &SigmaRows,
 ) -> (ColumnMapping, Vec<f64>) {
-    let matrix = score_matrix_digest(tuple, digest, sigma);
-    let (columns, _) = max_assignment(&matrix);
-    let relevance = columns
-        .iter()
-        .enumerate()
-        .map(|(i, c)| c.map_or(0.0, |j| matrix[i][j]))
-        .collect();
-    (ColumnMapping { columns }, relevance)
+    assign(&score_matrix_digest(tuple, digest, sigma))
 }
 
-/// Computes the optimal column mapping `τ` for `tuple` in `table`.
+/// Computes the optimal column mapping `τ` for `tuple` in `table` by
+/// walking the raw rows — the reference the digest path is checked
+/// against. Returns the mapping plus, per query entity, the
+/// column-relevance score `S[i][τ(i)]` of its assigned column (0 when
+/// unassigned) — the evidence behind the Hungarian step's choice.
 pub fn map_tuple_to_columns(
     tuple: &EntityTuple,
     table: &Table,
     sim: &dyn EntitySimilarity,
-) -> ColumnMapping {
-    map_tuple_to_columns_detailed(tuple, table, sim).0
+) -> (ColumnMapping, Vec<f64>) {
+    assign(&score_matrix(tuple, table, sim))
 }
 
-/// [`map_tuple_to_columns`] keeping the chosen pairs' relevance: returns
-/// the mapping plus, per query entity, the column-relevance score
-/// `S[i][τ(i)]` of its assigned column (0 when unassigned) — the evidence
-/// behind the Hungarian step's choice.
-pub fn map_tuple_to_columns_detailed(
-    tuple: &EntityTuple,
-    table: &Table,
-    sim: &dyn EntitySimilarity,
-) -> (ColumnMapping, Vec<f64>) {
-    let matrix = score_matrix(tuple, table, sim);
-    let (columns, _) = max_assignment(&matrix);
+/// The Hungarian assignment over `matrix` plus each assigned pair's
+/// column-relevance.
+fn assign(matrix: &[Vec<f64>]) -> (ColumnMapping, Vec<f64>) {
+    let (columns, _) = max_assignment(matrix);
     let relevance = columns
         .iter()
         .enumerate()
@@ -158,7 +148,7 @@ mod tests {
         let sim = crate::similarity::TypeJaccard::new(&g);
         // Query (team, player) in *reversed* order: mapping must cross.
         let tuple = vec![teams[0], players[0]];
-        let m = map_tuple_to_columns(&tuple, &table, &sim);
+        let (m, _) = map_tuple_to_columns(&tuple, &table, &sim);
         assert_eq!(m.columns, vec![Some(1), Some(0)]);
     }
 
@@ -178,7 +168,7 @@ mod tests {
         let (g, table, players, teams) = fixture();
         let sim = crate::similarity::TypeJaccard::new(&g);
         let tuple = vec![players[0], teams[0], players[1]];
-        let m = map_tuple_to_columns(&tuple, &table, &sim);
+        let (m, _) = map_tuple_to_columns(&tuple, &table, &sim);
         assert_eq!(m.columns.iter().flatten().count(), 2);
         // The two mapped entities occupy distinct columns.
         let mut used: Vec<usize> = m.columns.iter().flatten().copied().collect();
@@ -203,8 +193,8 @@ mod tests {
                 assert_eq!(r.to_bits(), f.to_bits());
             }
         }
-        let (m_raw, rel_raw) = map_tuple_to_columns_detailed(&tuple, &table, &sim);
-        let (m_fast, rel_fast) = map_tuple_to_columns_digest_detailed(&tuple, &digest, &sigma);
+        let (m_raw, rel_raw) = map_tuple_to_columns(&tuple, &table, &sim);
+        let (m_fast, rel_fast) = map_tuple_to_columns_digest(&tuple, &digest, &sigma);
         assert_eq!(m_raw, m_fast);
         assert_eq!(rel_raw, rel_fast);
     }

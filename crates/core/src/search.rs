@@ -1,13 +1,17 @@
 //! Algorithm 1: scoring candidate tables, optionally in parallel.
 //!
-//! Scoring runs off the lake's precomputed
-//! [`TableDigest`](thetis_datalake::TableDigest)s: per table, one batched σ
-//! kernel per distinct query entity fills a [`SigmaRows`] lattice, and the
-//! Hungarian matrix, row aggregation and pruning upper bound all read from
-//! it — the σ cache is consulted once per (query entity, distinct entity)
-//! pair instead of once per cell, and the ranking stays bit-identical to
-//! the raw row walk (see [`crate::mapping::score_matrix_digest`] and
-//! [`crate::semrel::tuple_table_score_digest_detailed`] for why).
+//! Scoring runs off the lake's precomputed [`TableDigest`]s: per table, one
+//! batched σ kernel per distinct query entity fills a [`SigmaRows`]
+//! lattice, and the Hungarian matrix, row aggregation and pruning upper
+//! bound all read from it — the σ cache is consulted once per (query
+//! entity, distinct entity) pair instead of once per cell, and the ranking
+//! stays bit-identical to the raw row walk (see
+//! [`crate::mapping::score_matrix_digest`] and
+//! [`crate::semrel::tuple_table_score_digest`] for why).
+//!
+//! Every scorer takes a [`QueryTrace`](thetis_obs::QueryTrace); pass
+//! `QueryTrace::disabled()` for an untraced run — the handle is
+//! `Option`-gated and records nothing.
 //!
 //! Candidates are distributed over workers by **work stealing**: a shared
 //! atomic cursor hands out fixed-size blocks ([`Schedule::block`]), so a
@@ -334,7 +338,7 @@ fn score_table_isolated(
 ) -> Option<f64> {
     let mut local = ScoreTimings::default();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        score_table_traced(query, lake, table_id, sim, inform, agg, &mut local, trace)
+        score_table(query, lake, table_id, sim, inform, agg, &mut local, trace)
     }));
     match outcome {
         Ok(score) => {
@@ -386,35 +390,15 @@ fn resolve_digest<'a>(
 ///
 /// Returns `None` for tables with no entity links (no row can have a
 /// relevant mapping, so the table is irrelevant by §4.2).
-pub fn score_table(
-    query: &Query,
-    lake: &DataLake,
-    table_id: TableId,
-    sim: &dyn EntitySimilarity,
-    inform: &Informativeness,
-    agg: RowAgg,
-    timings: &mut ScoreTimings,
-) -> Option<f64> {
-    score_table_traced(
-        query,
-        lake,
-        table_id,
-        sim,
-        inform,
-        agg,
-        timings,
-        &thetis_obs::QueryTrace::disabled(),
-    )
-}
-
-/// [`score_table`] with a flight recorder attached. An active trace receives,
-/// per query tuple, a `hungarian.map` event (the chosen tuple→column mapping
-/// with each pair's column-relevance) and a `semrel.tuple` event (the
-/// aggregated per-entity similarities `x_i` and the tuple's Eq. 3 score),
-/// plus one `score.table` phase for the whole table. An inactive trace costs
+///
+/// An active `trace` receives, per query tuple, a `hungarian.map` event
+/// (the chosen tuple→column mapping with each pair's column-relevance) and
+/// a `semrel.tuple` event (the aggregated per-entity similarities `x_i` and
+/// the tuple's Eq. 3 score), plus one `score.table` phase for the whole
+/// table. [`QueryTrace::disabled`](thetis_obs::QueryTrace::disabled) costs
 /// one branch per tuple.
 #[allow(clippy::too_many_arguments)]
-pub fn score_table_traced(
+pub fn score_table(
     query: &Query,
     lake: &DataLake,
     table_id: TableId,
@@ -434,7 +418,7 @@ pub fn score_table_traced(
     ))
 }
 
-/// The digest-driven scoring kernel behind [`score_table_traced`].
+/// The digest-driven scoring kernel behind [`score_table`].
 #[allow(clippy::too_many_arguments)]
 fn score_digest(
     query: &Query,
@@ -452,7 +436,7 @@ fn score_digest(
     for (ti, tuple) in query.tuples.iter().enumerate() {
         let map_start = Instant::now();
         let (mapping, relevance) =
-            crate::mapping::map_tuple_to_columns_digest_detailed(tuple, digest, &sigma);
+            crate::mapping::map_tuple_to_columns_digest(tuple, digest, &sigma);
         let agg_start = Instant::now();
         timings.mapping_nanos += agg_start.duration_since(map_start).as_nanos() as u64;
         timings.mapping_count += 1;
@@ -467,9 +451,8 @@ fn score_digest(
                 ],
             );
         }
-        let (tuple_score, xs) = crate::semrel::tuple_table_score_digest_detailed(
-            tuple, digest, &mapping, &sigma, inform, agg,
-        );
+        let (tuple_score, xs) =
+            crate::semrel::tuple_table_score_digest(tuple, digest, &mapping, &sigma, inform, agg);
         if trace.is_verbose() {
             trace.record(
                 "semrel.tuple",
@@ -577,35 +560,14 @@ pub fn upper_bound_score(
 
 /// Scores `candidates` over the schedule's workers and returns all
 /// `(table, score)` pairs (unsorted) plus merged timings.
-pub fn score_candidates(
-    query: &Query,
-    lake: &DataLake,
-    candidates: &[TableId],
-    sim: &(dyn EntitySimilarity + Sync),
-    inform: &Informativeness,
-    agg: RowAgg,
-    sched: Schedule,
-) -> (Vec<(TableId, f64)>, ScoreTimings) {
-    score_candidates_traced(
-        query,
-        lake,
-        candidates,
-        sim,
-        inform,
-        agg,
-        sched,
-        None,
-        &thetis_obs::QueryTrace::disabled(),
-    )
-}
-
-/// [`score_candidates`] with a flight recorder attached; the trace handle is
-/// shared across the scoring workers (its event buffer is mutex-guarded and
-/// events are time-ordered on export). When `deadline` is set the pass
-/// stops claiming work once it expires and reports the unvisited
-/// candidates in `tables_unscored` (`deadline_hit` set).
+///
+/// The trace handle is shared across the scoring workers (its event buffer
+/// is mutex-guarded and events are time-ordered on export). When
+/// `deadline` is set the pass stops claiming work once it expires and
+/// reports the unvisited candidates in `tables_unscored` (`deadline_hit`
+/// set).
 #[allow(clippy::too_many_arguments)]
-pub fn score_candidates_traced(
+pub fn score_candidates(
     query: &Query,
     lake: &DataLake,
     candidates: &[TableId],
@@ -673,37 +635,12 @@ pub fn score_candidates_traced(
 /// only at equal score). The ranking is therefore bit-identical to the
 /// exhaustive path regardless of thread count or timing; only
 /// `tables_pruned` may vary between runs.
-#[allow(clippy::too_many_arguments)]
-pub fn score_candidates_pruned(
-    query: &Query,
-    lake: &DataLake,
-    candidates: &[TableId],
-    sim: &(dyn EntitySimilarity + Sync),
-    inform: &Informativeness,
-    agg: RowAgg,
-    sched: Schedule,
-    k: usize,
-) -> (Vec<(TableId, f64)>, ScoreTimings) {
-    score_candidates_pruned_traced(
-        query,
-        lake,
-        candidates,
-        sim,
-        inform,
-        agg,
-        sched,
-        k,
-        None,
-        &thetis_obs::QueryTrace::disabled(),
-    )
-}
-
-/// [`score_candidates_pruned`] with a flight recorder attached: a verbose
-/// trace additionally receives one `prune.skip` event per pruned table (its
-/// upper bound and the floor that killed it) and a `prune.floor` event each
-/// time the shared floor rises (the floor trajectory — when pruning became
-/// effective); scored tables leave their `score.table` / `hungarian.map` /
-/// `semrel.tuple` events via [`score_table_traced`].
+///
+/// A verbose trace additionally receives one `prune.skip` event per pruned
+/// table (its upper bound and the floor that killed it) and a `prune.floor`
+/// event each time the shared floor rises (the floor trajectory — when
+/// pruning became effective); scored tables leave their `score.table` /
+/// `hungarian.map` / `semrel.tuple` events via [`score_table`].
 ///
 /// When `deadline` is set, every phase — bounding, floor seeding, and the
 /// main loop — re-checks the clock at its claim granularity and stops
@@ -712,7 +649,7 @@ pub fn score_candidates_pruned(
 /// actually scored, so every prune decision in a partial run is one the
 /// full run would also have made: scored tables keep bit-identical scores.
 #[allow(clippy::too_many_arguments)]
-pub fn score_candidates_pruned_traced(
+pub fn score_candidates_pruned(
     query: &Query,
     lake: &DataLake,
     candidates: &[TableId],
@@ -887,6 +824,7 @@ mod tests {
     use crate::similarity::TypeJaccard;
     use thetis_datalake::{CellValue, Table};
     use thetis_kg::{EntityId, KgBuilder, KnowledgeGraph};
+    use thetis_obs::QueryTrace;
 
     fn fixture() -> (KnowledgeGraph, DataLake, Vec<EntityId>) {
         let mut b = KgBuilder::new();
@@ -914,36 +852,78 @@ mod tests {
 
     #[test]
     fn exact_match_table_ranks_highest() {
+        let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
         let sim = TypeJaccard::new(&g);
         let inform = Informativeness::uniform();
         let q = Query::single(vec![players[0]]);
         let mut t = ScoreTimings::default();
-        let s0 = score_table(&q, &lake, TableId(0), &sim, &inform, RowAgg::Max, &mut t).unwrap();
-        let s1 = score_table(&q, &lake, TableId(1), &sim, &inform, RowAgg::Max, &mut t).unwrap();
+        let s0 = score_table(
+            &q,
+            &lake,
+            TableId(0),
+            &sim,
+            &inform,
+            RowAgg::Max,
+            &mut t,
+            &off,
+        )
+        .unwrap();
+        let s1 = score_table(
+            &q,
+            &lake,
+            TableId(1),
+            &sim,
+            &inform,
+            RowAgg::Max,
+            &mut t,
+            &off,
+        )
+        .unwrap();
         assert_eq!(s0, 1.0);
         assert!(s1 < s0 && s1 > 0.0);
     }
 
     #[test]
     fn unlinked_tables_are_skipped() {
+        let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
         let sim = TypeJaccard::new(&g);
         let inform = Informativeness::uniform();
         let q = Query::single(vec![players[0]]);
         let mut t = ScoreTimings::default();
-        assert!(score_table(&q, &lake, TableId(2), &sim, &inform, RowAgg::Max, &mut t).is_none());
+        assert!(score_table(
+            &q,
+            &lake,
+            TableId(2),
+            &sim,
+            &inform,
+            RowAgg::Max,
+            &mut t,
+            &off
+        )
+        .is_none());
         assert_eq!(t.tables_scored, 0);
     }
 
     #[test]
     fn stale_lake_scores_through_an_adhoc_digest() {
+        let off = QueryTrace::disabled();
         let (g, mut lake, players) = fixture();
         let sim = TypeJaccard::new(&g);
         let inform = Informativeness::uniform();
         let q = Query::single(vec![players[0]]);
         let mut t = ScoreTimings::default();
-        let fresh = score_table(&q, &lake, TableId(0), &sim, &inform, RowAgg::Max, &mut t);
+        let fresh = score_table(
+            &q,
+            &lake,
+            TableId(0),
+            &sim,
+            &inform,
+            RowAgg::Max,
+            &mut t,
+            &off,
+        );
         // Touching another table through `table_mut` marks only *it* stale;
         // scoring the stale table falls back to an ad-hoc digest instead of
         // panicking, while fresh tables keep using their stored digest.
@@ -954,19 +934,47 @@ mod tests {
             }]);
         assert!(!lake.digest_fresh(TableId(1)));
         assert!(lake.digest_fresh(TableId(0)), "staleness is per table");
-        let unaffected = score_table(&q, &lake, TableId(0), &sim, &inform, RowAgg::Max, &mut t);
+        let unaffected = score_table(
+            &q,
+            &lake,
+            TableId(0),
+            &sim,
+            &inform,
+            RowAgg::Max,
+            &mut t,
+            &off,
+        );
         assert_eq!(fresh, unaffected);
         // The stale table itself scores without panicking.
-        let _ = score_table(&q, &lake, TableId(1), &sim, &inform, RowAgg::Max, &mut t);
+        let _ = score_table(
+            &q,
+            &lake,
+            TableId(1),
+            &sim,
+            &inform,
+            RowAgg::Max,
+            &mut t,
+            &off,
+        );
         // Bulk mutation stales everything; scoring still must not panic.
         let _ = lake.tables_mut();
         assert!(!lake.digests_fresh());
-        let stale = score_table(&q, &lake, TableId(0), &sim, &inform, RowAgg::Max, &mut t);
+        let stale = score_table(
+            &q,
+            &lake,
+            TableId(0),
+            &sim,
+            &inform,
+            RowAgg::Max,
+            &mut t,
+            &off,
+        );
         assert_eq!(fresh, stale);
     }
 
     #[test]
     fn parallel_matches_sequential() {
+        let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
         let sim = TypeJaccard::new(&g);
         let inform = Informativeness::uniform();
@@ -980,6 +988,8 @@ mod tests {
             &inform,
             RowAgg::Max,
             Schedule::sequential(),
+            None,
+            &off,
         );
         let (mut par, _) = score_candidates(
             &q,
@@ -989,6 +999,8 @@ mod tests {
             &inform,
             RowAgg::Max,
             Schedule::with_threads(4),
+            None,
+            &off,
         );
         seq.sort_by_key(|&(t, _)| t);
         par.sort_by_key(|&(t, _)| t);
@@ -997,6 +1009,7 @@ mod tests {
 
     #[test]
     fn work_stealing_covers_every_candidate_once() {
+        let off = QueryTrace::disabled();
         // Force real workers with a tiny block: every candidate must be
         // scored exactly once no matter how blocks interleave.
         let (g, lake, players) = fixture();
@@ -1009,8 +1022,17 @@ mod tests {
             block: 1,
             min_per_thread: 1,
         };
-        let (scored, timings) =
-            score_candidates(&q, &lake, &cands, &sim, &inform, RowAgg::Max, sched);
+        let (scored, timings) = score_candidates(
+            &q,
+            &lake,
+            &cands,
+            &sim,
+            &inform,
+            RowAgg::Max,
+            sched,
+            None,
+            &off,
+        );
         // 9 visits, 3 of them the unlinked table.
         assert_eq!(scored.len(), 6);
         assert_eq!(timings.tables_scored, 6);
@@ -1018,6 +1040,7 @@ mod tests {
 
     #[test]
     fn timings_accumulate() {
+        let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
         let sim = TypeJaccard::new(&g);
         let inform = Informativeness::uniform();
@@ -1031,6 +1054,8 @@ mod tests {
             &inform,
             RowAgg::Max,
             Schedule::sequential(),
+            None,
+            &off,
         );
         assert_eq!(timings.tables_scored, 2);
         assert!(timings.scoring_nanos >= timings.mapping_nanos);
@@ -1040,6 +1065,7 @@ mod tests {
 
     #[test]
     fn upper_bound_dominates_the_real_score() {
+        let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
         let sim = TypeJaccard::new(&g);
         let inform = Informativeness::uniform();
@@ -1048,7 +1074,7 @@ mod tests {
             let bound = upper_bound_score(&q, &lake, tid, &sim, &inform).unwrap();
             for agg in [RowAgg::Max, RowAgg::Avg] {
                 let mut t = ScoreTimings::default();
-                let s = score_table(&q, &lake, tid, &sim, &inform, agg, &mut t).unwrap();
+                let s = score_table(&q, &lake, tid, &sim, &inform, agg, &mut t, &off).unwrap();
                 assert!(s <= bound + 1e-12, "{s} > {bound} for {tid:?} {agg:?}");
             }
         }
@@ -1057,6 +1083,7 @@ mod tests {
 
     #[test]
     fn pruned_search_keeps_the_same_top_k() {
+        let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
         let sim = TypeJaccard::new(&g);
         let inform = Informativeness::uniform();
@@ -1070,6 +1097,8 @@ mod tests {
             &inform,
             RowAgg::Max,
             Schedule::sequential(),
+            None,
+            &off,
         );
         let (survivors, timings) = score_candidates_pruned(
             &q,
@@ -1080,6 +1109,8 @@ mod tests {
             RowAgg::Max,
             Schedule::sequential(),
             1,
+            None,
+            &off,
         );
         let mut top = crate::topk::TopK::new(1);
         for &(t, s) in &exhaustive {
@@ -1091,6 +1122,7 @@ mod tests {
 
     #[test]
     fn pruning_actually_skips_dominated_tables() {
+        let off = QueryTrace::disabled();
         // Table 0 holds the exact query entity (score 1.0, the maximum);
         // with k = 1 it has the highest bound, seeds the floor at 1.0, and
         // every other table gets pruned.
@@ -1108,6 +1140,8 @@ mod tests {
             RowAgg::Max,
             Schedule::sequential(),
             1,
+            None,
+            &off,
         );
         assert_eq!(survivors.len(), 1);
         assert_eq!(survivors[0].0, TableId(0));
@@ -1117,6 +1151,7 @@ mod tests {
 
     #[test]
     fn traced_scoring_matches_untraced_and_records_provenance() {
+        let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
         let sim = TypeJaccard::new(&g);
         let inform = Informativeness::uniform();
@@ -1132,9 +1167,11 @@ mod tests {
             RowAgg::Max,
             Schedule::sequential(),
             1,
+            None,
+            &off,
         );
         let trace = thetis_obs::QueryTrace::forced(11);
-        let (traced, _) = score_candidates_pruned_traced(
+        let (traced, _) = score_candidates_pruned(
             &q,
             &lake,
             &cands,
@@ -1177,6 +1214,7 @@ mod tests {
 
     #[test]
     fn pruned_k_zero_returns_nothing() {
+        let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
         let sim = TypeJaccard::new(&g);
         let inform = Informativeness::uniform();
@@ -1191,6 +1229,8 @@ mod tests {
             RowAgg::Max,
             Schedule::sequential(),
             0,
+            None,
+            &off,
         );
         assert!(survivors.is_empty());
     }

@@ -49,23 +49,12 @@ pub fn distance_score(tuple: &EntityTuple, x: &[f64], inform: &Informativeness) 
 }
 
 /// Scores one query tuple against a whole table, given the column mapping
-/// `τ` (lines 6–14 of Algorithm 1).
-pub fn tuple_table_score(
-    tuple: &EntityTuple,
-    table: &Table,
-    mapping: &ColumnMapping,
-    sim: &dyn EntitySimilarity,
-    inform: &Informativeness,
-    agg: RowAgg,
-) -> f64 {
-    tuple_table_score_detailed(tuple, table, mapping, sim, inform, agg).0
-}
-
-/// [`tuple_table_score`] keeping the intermediate state: returns the score
+/// `τ` (lines 6–14 of Algorithm 1), by walking the raw rows — the
+/// reference the digest path is checked against. Returns the score
 /// together with the per-query-entity aggregated similarities
 /// `⟨x_1, ..., x_m⟩` that entered Eq. 2 (the coordinates of the tuple's
 /// point in the SemRel space — what a flight recorder or explanation wants).
-pub fn tuple_table_score_detailed(
+pub fn tuple_table_score(
     tuple: &EntityTuple,
     table: &Table,
     mapping: &ColumnMapping,
@@ -104,7 +93,7 @@ pub fn tuple_table_score_detailed(
     (score, acc)
 }
 
-/// [`tuple_table_score_detailed`] over a table digest and precomputed σ
+/// [`tuple_table_score`] over a table digest and precomputed σ
 /// rows — bit-identical output without touching raw rows.
 ///
 /// [`RowAgg::Max`] folds over the mapped column's *distinct* entities (the
@@ -113,7 +102,7 @@ pub fn tuple_table_score_detailed(
 /// exactly the order the raw walk visits them, and the unlinked cells the
 /// raw walk adds contribute `+0.0`, which is a bitwise no-op on the
 /// non-negative accumulator — then divides by the full row count.
-pub fn tuple_table_score_digest_detailed(
+pub fn tuple_table_score_digest(
     tuple: &EntityTuple,
     digest: &TableDigest,
     mapping: &ColumnMapping,
@@ -259,8 +248,8 @@ mod tests {
             columns: vec![Some(0)],
         };
         let q = vec![players[0]];
-        let max_s = tuple_table_score(&q, &table, &mapping, &sim, &inform, RowAgg::Max);
-        let avg_s = tuple_table_score(&q, &table, &mapping, &sim, &inform, RowAgg::Avg);
+        let max_s = tuple_table_score(&q, &table, &mapping, &sim, &inform, RowAgg::Max).0;
+        let avg_s = tuple_table_score(&q, &table, &mapping, &sim, &inform, RowAgg::Avg).0;
         assert_eq!(max_s, 1.0); // best row is the exact match
         assert!(avg_s < max_s);
     }
@@ -295,11 +284,9 @@ mod tests {
             },
         ] {
             for agg in [RowAgg::Max, RowAgg::Avg] {
-                let (raw, raw_xs) =
-                    tuple_table_score_detailed(&tuple, &table, &mapping, &sim, &inform, agg);
-                let (fast, fast_xs) = tuple_table_score_digest_detailed(
-                    &tuple, &digest, &mapping, &sigma, &inform, agg,
-                );
+                let (raw, raw_xs) = tuple_table_score(&tuple, &table, &mapping, &sim, &inform, agg);
+                let (fast, fast_xs) =
+                    tuple_table_score_digest(&tuple, &digest, &mapping, &sigma, &inform, agg);
                 assert_eq!(raw.to_bits(), fast.to_bits(), "{agg:?} {mapping:?}");
                 for (r, f) in raw_xs.iter().zip(&fast_xs) {
                     assert_eq!(r.to_bits(), f.to_bits());
@@ -318,7 +305,7 @@ mod tests {
             columns: vec![Some(0)],
         };
         let q = vec![players[0]];
-        let s = tuple_table_score(&q, &table, &mapping, &sim, &inform, RowAgg::Avg);
+        let s = tuple_table_score(&q, &table, &mapping, &sim, &inform, RowAgg::Avg).0;
         assert_eq!(s, 0.5); // x = 0 → D = 1 → 1/(1+1)
     }
 
@@ -332,7 +319,7 @@ mod tests {
             columns: vec![Some(0), None],
         };
         let q = vec![players[0], teams[0]];
-        let s = tuple_table_score(&q, &table, &mapping, &sim, &inform, RowAgg::Max);
+        let s = tuple_table_score(&q, &table, &mapping, &sim, &inform, RowAgg::Max).0;
         // x = (1, 0) → D = 1 → 0.5
         assert_eq!(s, 0.5);
     }

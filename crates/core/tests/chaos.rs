@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use thetis_core::{Query, SearchOptions, SearchResult, ThetisEngine, TypeJaccard};
+use thetis_core::{Candidates, Query, SearchOptions, SearchResult, ThetisEngine, TypeJaccard};
 use thetis_datalake::{CellValue, DataLake, Table, TableId};
 use thetis_kg::{EntityId, KgBuilder, KnowledgeGraph};
 use thetis_lsh::lsei::{Lsei, TypeSigner};
@@ -178,7 +178,7 @@ fn sigma_panic_mid_query_drops_only_the_panicked_tables() {
         let _armed = FaultGuard;
         faults::arm(FaultPlan::parse("sigma=panic@0.25", seed).unwrap());
         let trace = QueryTrace::forced(seed);
-        let chaotic = engine.search_traced(&s.query, options, &trace);
+        let chaotic = engine.execute(&s.query, options, Candidates::Lake, None, &trace);
         let panicked = panicked_tables(&trace);
         if panicked.is_empty() {
             continue;
@@ -247,7 +247,7 @@ fn sigma_failpoint_fires_identically_under_the_f32_kernel() {
         let _armed = FaultGuard;
         faults::arm(FaultPlan::parse("sigma=panic@0.25", 1).unwrap());
         let trace = QueryTrace::forced(1);
-        let chaotic = engine.search_traced(&s.query, options, &trace);
+        let chaotic = engine.execute(&s.query, options, Candidates::Lake, None, &trace);
         assert!(
             faults::hits("sigma") > 0,
             "the sigma failpoint was never reached under {kernel}"
@@ -425,8 +425,8 @@ fn missing_lsei_falls_back_to_exhaustive_scan() {
     let engine = ThetisEngine::new(&s.graph, &s.lake, TypeJaccard::new(&s.graph));
     let options = exhaustive_options(&s.lake, 2);
     let trace = QueryTrace::forced(42);
-    let fallback: SearchResult =
-        engine.search_prefiltered_resilient::<TypeSigner>(&s.query, options, None, 1, &trace);
+    let candidates = Candidates::lsei::<TypeSigner>(None, &s.query, 1, &trace);
+    let fallback: SearchResult = engine.execute(&s.query, options, candidates, None, &trace);
     let direct = engine.search(&s.query, options);
 
     assert!(fallback.stats.degraded);
@@ -442,13 +442,9 @@ fn missing_lsei_falls_back_to_exhaustive_scan() {
     let config = thetis_lsh::LshConfig::new(30, 10);
     let signer = TypeSigner::new(&s.graph, thetis_lsh::TypeFilter::none(), config, 0xbeef);
     let lsei = Lsei::build(&s.lake, signer, config, thetis_lsh::lsei::LseiMode::Entity);
-    let healthy = engine.search_prefiltered_resilient(
-        &s.query,
-        options,
-        Some(&lsei),
-        1,
-        &QueryTrace::disabled(),
-    );
+    let off = QueryTrace::disabled();
+    let candidates = Candidates::lsei(Some(&lsei), &s.query, 1, &off);
+    let healthy = engine.execute(&s.query, options, candidates, None, &off);
     assert!(!healthy.stats.degraded_reason.lsei_fallback);
 }
 
@@ -474,7 +470,7 @@ proptest! {
         let _armed = FaultGuard;
         faults::arm(FaultPlan::parse("sigma=panic@0.2", fault_seed).unwrap());
         let trace = QueryTrace::forced(seed);
-        let chaotic = engine.search_traced(&s.query, options, &trace);
+        let chaotic = engine.execute(&s.query, options, Candidates::Lake, None, &trace);
         let panicked = panicked_tables(&trace);
 
         prop_assert_eq!(chaotic.stats.worker_panics(), panicked.len());

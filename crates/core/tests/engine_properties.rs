@@ -1,20 +1,24 @@
 //! Property-based tests for the scoring optimizations: σ memoization and
 //! top-k upper-bound pruning must be invisible in the ranking — the
 //! optimized search returns bit-identical results to the exhaustive
-//! sequential path on randomized tiny lakes — and the cache counters must
-//! account for every σ lookup.
+//! sequential path on randomized tiny lakes — the cache counters must
+//! account for every σ lookup, and every candidate source, memo and trace
+//! of `ThetisEngine::execute` is interchangeable.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use thetis_core::search::{score_candidates, Schedule};
 use thetis_core::{
-    CachedSimilarity, CountingSimilarity, EmbeddingCosine, Informativeness, Query, RowAgg,
-    SearchOptions, SimilarityCache, ThetisEngine, TypeJaccard,
+    CachedSimilarity, Candidates, CountingSimilarity, EmbeddingCosine, Informativeness, Query,
+    RowAgg, SearchOptions, SimilarityCache, ThetisEngine, TypeJaccard,
 };
 use thetis_datalake::{CellValue, DataLake, Table, TableId};
 use thetis_embedding::EmbeddingStore;
 use thetis_kg::{EntityId, KgBuilder, KnowledgeGraph};
+use thetis_lsh::lsei::{Lsei, LseiMode, TypeSigner};
+use thetis_lsh::{LshConfig, TypeFilter};
+use thetis_obs::QueryTrace;
 
 /// A randomized tiny semantic data lake plus a query over it.
 struct Scenario {
@@ -149,8 +153,10 @@ fn reference_scores(
         }
         let mut sum = 0.0;
         for tuple in &s.query.tuples {
-            let mapping = thetis_core::mapping::map_tuple_to_columns(tuple, table, sim);
-            sum += thetis_core::semrel::tuple_table_score(tuple, table, &mapping, sim, inform, agg);
+            let (mapping, _) = thetis_core::mapping::map_tuple_to_columns(tuple, table, sim);
+            let (score, _) =
+                thetis_core::semrel::tuple_table_score(tuple, table, &mapping, sim, inform, agg);
+            sum += score;
         }
         out.push((TableId(tid), sum / s.query.len() as f64));
     }
@@ -260,14 +266,16 @@ proptest! {
         let inform = Informativeness::from_lake(&s.lake);
         let candidates: Vec<TableId> = (0..s.lake.len() as u32).map(TableId).collect();
         let sched = Schedule { threads, block: 2, min_per_thread: 1 };
+        let off = QueryTrace::disabled();
         let type_sim = TypeJaccard::new(&s.graph);
         let emb_sim = EmbeddingCosine::new(&s.store);
         let sims: [&(dyn thetis_core::EntitySimilarity + Sync); 2] = [&type_sim, &emb_sim];
         for sim in sims {
             for agg in [RowAgg::Max, RowAgg::Avg] {
                 let reference = reference_scores(&s, sim, &inform, agg);
-                let (mut fast, timings) =
-                    score_candidates(&s.query, &s.lake, &candidates, sim, &inform, agg, sched);
+                let (mut fast, timings) = score_candidates(
+                    &s.query, &s.lake, &candidates, sim, &inform, agg, sched, None, &off,
+                );
                 fast.sort_by_key(|&(t, _)| t);
                 prop_assert_eq!(fast.len(), reference.len());
                 for (&(ft, fs), &(rt, rs)) in fast.iter().zip(&reference) {
@@ -348,6 +356,8 @@ proptest! {
             &inform,
             RowAgg::Max,
             Schedule::with_threads(threads),
+            None,
+            &QueryTrace::disabled(),
         );
         let stats = cache.stats();
         prop_assert_eq!(stats.computed + stats.served, lookups.computed());
@@ -369,8 +379,9 @@ proptest! {
         let cache = SimilarityCache::new();
         // Disable pruning so both passes perform the same lookups.
         let options = SearchOptions { prune: false, ..SearchOptions::top(k) };
-        let first = engine.search_with_cache(&s.query, options, &cache);
-        let second = engine.search_with_cache(&s.query, options, &cache);
+        let off = QueryTrace::disabled();
+        let first = engine.execute(&s.query, options, Candidates::Lake, Some(&cache), &off);
+        let second = engine.execute(&s.query, options, Candidates::Lake, Some(&cache), &off);
         prop_assert_eq!(&first.ranked, &second.ranked);
         prop_assert_eq!(second.stats.sigma_computed(), 0);
         if second.stats.sigma_cached() > 0 {
@@ -380,5 +391,63 @@ proptest! {
             first.stats.sigma_computed() + first.stats.sigma_cached(),
             second.stats.sigma_cached()
         );
+    }
+
+    /// One pipeline: every [`Candidates`] source × memo × trace of
+    /// `execute` ranks bitwise like the untraced, memo-less run of the same
+    /// source, with the same candidate and scored-table counts; only the
+    /// fallback rung is flagged, it ranks like the whole lake, and the
+    /// reduction is always `1 − candidates / |lake|`.
+    #[test]
+    fn candidate_sources_memos_and_traces_are_interchangeable(
+        seed in any::<u64>(),
+        n_entities in 4usize..16,
+        n_tables in 2usize..10,
+        k in 1usize..8,
+        subset in any::<u16>(),
+    ) {
+        let s = build_scenario(seed, n_entities, n_tables);
+        let engine = ThetisEngine::new(&s.graph, &s.lake, TypeJaccard::new(&s.graph));
+        let cfg = LshConfig::new(32, 8);
+        let signer = TypeSigner::new(&s.graph, TypeFilter::none(), cfg, 7);
+        let lsei = Lsei::build(&s.lake, signer, cfg, LseiMode::Entity);
+        let among: Vec<TableId> = (0..s.lake.len() as u32)
+            .filter(|&t| subset >> t & 1 == 1)
+            .map(TableId)
+            .collect();
+        let source = |name: &str, trace: &QueryTrace| match name {
+            "lake" => Candidates::Lake,
+            "among" => Candidates::Among(&among),
+            "lsei" => Candidates::lsei(Some(&lsei), &s.query, 1, trace),
+            _ => Candidates::lsei::<TypeSigner<'_>>(None, &s.query, 1, trace),
+        };
+        let options = SearchOptions { threads: 1, ..SearchOptions::top(k) };
+        let off = QueryTrace::disabled();
+        let shared = SimilarityCache::new();
+        let lake_ranked = engine.search(&s.query, options).ranked;
+        for name in ["lake", "among", "lsei", "fallback"] {
+            let reference = engine.execute(&s.query, options, source(name, &off), None, &off);
+            for memo in [None, Some(&shared)] {
+                for forced in [false, true] {
+                    let trace = if forced { QueryTrace::forced(seed) } else { QueryTrace::disabled() };
+                    let res = engine.execute(&s.query, options, source(name, &trace), memo, &trace);
+                    let bits = |r: &[(TableId, f64)]| -> Vec<(TableId, u64)> {
+                        r.iter().map(|&(t, x)| (t, x.to_bits())).collect()
+                    };
+                    prop_assert_eq!(bits(&res.ranked), bits(&reference.ranked), "{} {:?} {}", name, memo.is_some(), forced);
+                    prop_assert_eq!(res.stats.candidates, reference.stats.candidates);
+                    prop_assert_eq!(res.stats.tables_scored, reference.stats.tables_scored);
+                    prop_assert_eq!(res.stats.degraded_reason.lsei_fallback, name == "fallback");
+                    prop_assert_eq!(res.stats.degraded, name == "fallback");
+                    let expected = 1.0 - res.stats.candidates as f64 / s.lake.len() as f64;
+                    prop_assert_eq!(res.stats.reduction.to_bits(), expected.to_bits());
+                    prop_assert_eq!(trace.is_empty(), !forced);
+                }
+            }
+            if name == "fallback" {
+                prop_assert_eq!(&reference.ranked, &lake_ranked);
+                prop_assert_eq!(reference.stats.candidates, s.lake.len());
+            }
+        }
     }
 }

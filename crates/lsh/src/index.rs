@@ -60,7 +60,7 @@ impl<T: Copy> FlatBuckets<T> {
 /// bucket (the one addressed by its band key), as described in §6.1.
 ///
 /// Mutation goes through the per-band `HashMap` groups; queries go through
-/// a flat sorted `(band, key) → offset-range` packing ([`FlatBuckets`])
+/// a flat sorted `(band, key) → offset-range` packing (`FlatBuckets`)
 /// built lazily on first probe and invalidated by any mutation — the same
 /// build-once/read-many pattern as the embedding store's norm cache.
 #[derive(Debug, Clone)]

@@ -7,9 +7,8 @@
 //! configuration and seed, which the header verifies via the stored
 //! config.
 //!
-//! Format (`TLI3`, little-endian; `TLI2` is the same without the epoch
-//! field, `TLI1` additionally lacks the checksum footer — both are still
-//! readable and restore with epoch 0):
+//! Format (`TLI3`, little-endian; the retired `TLI1`/`TLI2` dumps are
+//! refused with an error saying to rebuild the index):
 //!
 //! ```text
 //! magic "TLI3" | num_vectors u32 | band_size u32 | mode u8 | n_tables u32
@@ -37,12 +36,10 @@ use crate::config::LshConfig;
 use crate::index::LshIndex;
 use crate::lsei::{EntitySigner, Lsei, LseiMode};
 
-/// Current format: checksummed footer plus the lake epoch.
-const MAGIC_V3: &[u8; 4] = b"TLI3";
-/// Legacy format: checksummed, no epoch. Still accepted (epoch 0).
-const MAGIC_V2: &[u8; 4] = b"TLI2";
-/// Legacy format: no footer, no epoch. Still accepted (epoch 0).
-const MAGIC_V1: &[u8; 4] = b"TLI1";
+/// The format: checksummed footer plus the lake epoch.
+const MAGIC: &[u8; 4] = b"TLI3";
+/// Retired formats (no epoch; `TLI1` also no footer), refused on read.
+const RETIRED: [&[u8; 4]; 2] = [b"TLI1", b"TLI2"];
 
 /// FNV-1a 64-bit: tiny, dependency-free, and plenty to catch the
 /// truncation and bit-flip corruption a snapshot file suffers in practice
@@ -59,16 +56,16 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Serializes an LSEI's index structure (buckets, postings, config, epoch)
 /// in the `TLI3` format: payload plus an FNV-1a checksum footer.
 pub fn lsei_to_bytes<S>(lsei: &Lsei<S>) -> Bytes {
-    let mut buf = encode_payload(lsei, MAGIC_V3);
+    let mut buf = encode_payload(lsei);
     let checksum = fnv1a64(&buf);
     buf.put_u64_le(checksum);
     buf.freeze()
 }
 
-fn encode_payload<S>(lsei: &Lsei<S>, magic: &[u8; 4]) -> BytesMut {
+fn encode_payload<S>(lsei: &Lsei<S>) -> BytesMut {
     let (config, mode, index, postings, n_tables, epoch) = lsei.parts();
     let mut buf = BytesMut::new();
-    buf.put_slice(magic);
+    buf.put_slice(MAGIC);
     buf.put_u32_le(config.num_vectors as u32);
     buf.put_u32_le(config.band_size as u32);
     buf.put_u8(match mode {
@@ -76,9 +73,7 @@ fn encode_payload<S>(lsei: &Lsei<S>, magic: &[u8; 4]) -> BytesMut {
         LseiMode::Column => 1,
     });
     buf.put_u32_le(n_tables as u32);
-    if magic == MAGIC_V3 {
-        buf.put_u64_le(epoch);
-    }
+    buf.put_u64_le(epoch);
 
     let groups = index.groups();
     buf.put_u32_le(groups.len() as u32);
@@ -113,15 +108,15 @@ fn encode_payload<S>(lsei: &Lsei<S>, magic: &[u8; 4]) -> BytesMut {
 
 /// Restores an LSEI from bytes plus a freshly constructed signer.
 ///
-/// Accepts the current `TLI3` format and the legacy `TLI2` format (FNV-1a
-/// footers verified before any field is parsed) as well as the legacy
-/// `TLI1` format (no footer). Dumps predating `TLI3` restore with epoch 0.
+/// Reads the `TLI3` format; its FNV-1a footer is verified before any field
+/// is parsed.
 ///
 /// # Errors
-/// Fails on magic/structure mismatch, truncated or bit-flipped input
-/// (`TLI2` checksum), or when the stored configuration disagrees with
-/// `expected_config` (which would silently break lookups). Never panics on
-/// malformed input.
+/// Fails on magic/structure mismatch (a retired `TLI1`/`TLI2` dump gets an
+/// error naming its format and saying to rebuild the index), truncated or
+/// bit-flipped input (checksum), or when the stored configuration disagrees
+/// with `expected_config` (which would silently break lookups). Never
+/// panics on malformed input.
 pub fn lsei_from_bytes<S: EntitySigner>(
     mut bytes: Bytes,
     signer: S,
@@ -134,37 +129,42 @@ pub fn lsei_from_bytes<S: EntitySigner>(
             Ok(())
         }
     };
-    need(&bytes, 17)?;
+    need(&bytes, 4)?;
     let mut magic = [0u8; 4];
     bytes.copy_to_slice(&mut magic);
-    if &magic == MAGIC_V2 || &magic == MAGIC_V3 {
-        // Verify the footer over the whole payload (magic already
-        // consumed, so rebuild the checksum incrementally) before trusting
-        // any length field.
-        let min_body = if &magic == MAGIC_V3 { 21 } else { 13 };
-        let n = bytes.remaining();
-        if n < 8 + min_body {
-            return Err("truncated LSEI dump (missing checksum footer)".into());
-        }
-        let stored = u64::from_le_bytes(
-            bytes[n - 8..]
-                .try_into()
-                .expect("slice of exactly eight bytes"),
-        );
-        let mut payload = Vec::with_capacity(4 + n - 8);
-        payload.extend_from_slice(&magic);
-        payload.extend_from_slice(&bytes[..n - 8]);
-        let computed = fnv1a64(&payload);
-        if stored != computed {
-            return Err(format!(
-                "LSEI dump corrupt or truncated: checksum mismatch \
-                 (stored {stored:#018x}, computed {computed:#018x})"
-            ));
-        }
-        bytes.truncate(n - 8);
-    } else if &magic != MAGIC_V1 {
+    if RETIRED.contains(&&magic) {
+        return Err(format!(
+            "LSEI dump is in the retired {} format, which is no longer read; \
+             rebuild the index (e.g. with --save-index)",
+            String::from_utf8_lossy(&magic)
+        ));
+    }
+    if &magic != MAGIC {
         return Err(format!("bad magic {magic:?}"));
     }
+    // Verify the footer over the whole payload (magic already consumed, so
+    // rebuild the checksum incrementally) before trusting any length field.
+    // 21 bytes: the fixed header after the magic, epoch included.
+    let n = bytes.remaining();
+    if n < 8 + 21 {
+        return Err("truncated LSEI dump (missing checksum footer)".into());
+    }
+    let stored = u64::from_le_bytes(
+        bytes[n - 8..]
+            .try_into()
+            .expect("slice of exactly eight bytes"),
+    );
+    let mut payload = Vec::with_capacity(4 + n - 8);
+    payload.extend_from_slice(&magic);
+    payload.extend_from_slice(&bytes[..n - 8]);
+    let computed = fnv1a64(&payload);
+    if stored != computed {
+        return Err(format!(
+            "LSEI dump corrupt or truncated: checksum mismatch \
+             (stored {stored:#018x}, computed {computed:#018x})"
+        ));
+    }
+    bytes.truncate(n - 8);
     let num_vectors = bytes.get_u32_le() as usize;
     let band_size = bytes.get_u32_le() as usize;
     let config = LshConfig::new(num_vectors, band_size);
@@ -179,12 +179,8 @@ pub fn lsei_from_bytes<S: EntitySigner>(
         m => return Err(format!("unknown mode byte {m}")),
     };
     let n_tables = bytes.get_u32_le() as usize;
-    let epoch = if &magic == MAGIC_V3 {
-        need(&bytes, 8)?;
-        bytes.get_u64_le()
-    } else {
-        0
-    };
+    need(&bytes, 8)?;
+    let epoch = bytes.get_u64_le();
 
     need(&bytes, 4)?;
     let n_groups = bytes.get_u32_le() as usize;
@@ -212,8 +208,9 @@ pub fn lsei_from_bytes<S: EntitySigner>(
     need(&bytes, 4)?;
     let n_postings = bytes.get_u32_le() as usize;
     // Each posting takes at least 8 bytes, so a count beyond remaining/8
-    // can only come from a corrupt (legacy, un-checksummed) dump — do not
-    // let it drive a huge allocation before the bounds checks catch it.
+    // can only come from a crafted file that recomputed the checksum (the
+    // FNV footer catches accidents, not forgeries) — do not let it drive a
+    // huge allocation before the bounds checks catch it.
     let mut postings =
         std::collections::HashMap::with_capacity(n_postings.min(bytes.remaining() / 8));
     for _ in 0..n_postings {
@@ -256,7 +253,7 @@ pub fn write_lsei_file<S>(lsei: &Lsei<S>, path: &std::path::Path) -> Result<(), 
         None => {}
     }
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let tmp = path.with_extension("tli2.tmp");
+    let tmp = path.with_extension("tmp");
     let write = || -> std::io::Result<()> {
         use std::io::Write;
         let mut f = std::fs::File::create(&tmp)?;
@@ -279,14 +276,15 @@ pub fn write_lsei_file<S>(lsei: &Lsei<S>, path: &std::path::Path) -> Result<(), 
     })
 }
 
-/// Reads an LSEI snapshot written by [`write_lsei_file`] (or any
-/// `TLI1`/`TLI2`/`TLI3` dump), verifying the checksum before parsing.
+/// Reads an LSEI snapshot written by [`write_lsei_file`] (any `TLI3` dump),
+/// verifying the checksum before parsing.
 ///
 /// The `lsei.read` failpoint injects failures for chaos runs: `error`
 /// fails the read cleanly, `corrupt` flips one bit of the bytes read (so
 /// the checksum rejects them), `panic` panics. Callers on the query path
 /// should treat any `Err` as "no index" and fall back to an exhaustive
-/// scan (see `ThetisEngine::search_prefiltered_resilient`).
+/// scan (see `thetis_core::Candidates::lsei`, whose `None` is that
+/// fallback).
 pub fn read_lsei_file<S: EntitySigner>(
     path: &std::path::Path,
     signer: S,
@@ -448,40 +446,28 @@ mod tests {
         assert_eq!(restored.epoch(), 42);
     }
 
+    /// A retired dump — the `TLI1` raw payload, or the `TLI2` payload plus
+    /// its checksum footer, both without the epoch field — is refused with
+    /// an error naming the format and saying to rebuild, never misread.
     #[test]
-    fn legacy_tli2_dump_restores_with_epoch_zero() {
-        let (g, lake, players) = fixture();
+    fn retired_tli1_and_tli2_dumps_are_refused_with_a_rebuild_hint() {
+        let (g, lake, _) = fixture();
         let cfg = LshConfig::new(32, 8);
-        let mk_signer = || TypeSigner::new(&g, TypeFilter::none(), cfg, 7);
-        let mut original = Lsei::build(&lake, mk_signer(), cfg, LseiMode::Entity);
-        original.set_epoch(42);
-        // A TLI2 dump is the epoch-less payload plus the checksum footer.
-        let mut legacy = encode_payload(&original, MAGIC_V2);
-        let checksum = fnv1a64(&legacy);
-        legacy.put_u64_le(checksum);
-        let restored = lsei_from_bytes(legacy.freeze(), mk_signer(), cfg).unwrap();
-        assert_eq!(restored.epoch(), 0, "pre-epoch formats restore as 0");
-        for &probe in &players {
-            assert_eq!(
-                original.prefilter(&[probe], 1).tables,
-                restored.prefilter(&[probe], 1).tables
-            );
-        }
-    }
-
-    #[test]
-    fn legacy_tli1_dump_is_still_readable() {
-        let (g, lake, players) = fixture();
-        let cfg = LshConfig::new(32, 8);
-        let mk_signer = || TypeSigner::new(&g, TypeFilter::none(), cfg, 7);
-        let original = Lsei::build(&lake, mk_signer(), cfg, LseiMode::Entity);
-        // A TLI1 dump is the raw payload with the old magic and no footer.
-        let legacy = encode_payload(&original, MAGIC_V1).freeze();
-        let restored = lsei_from_bytes(legacy, mk_signer(), cfg).unwrap();
-        for &probe in &players {
-            let a = original.prefilter(&[probe], 1);
-            let b = restored.prefilter(&[probe], 1);
-            assert_eq!(a.tables, b.tables);
+        let original = build_fixture_lsei(&g, &lake, cfg);
+        // The TLI3 payload minus its epoch field is the retired layout.
+        let mut payload = encode_payload(&original).to_vec();
+        payload.drain(17..25);
+        for (magic, footer) in [(b"TLI1", false), (b"TLI2", true)] {
+            let mut dump = payload.clone();
+            dump[..4].copy_from_slice(magic);
+            if footer {
+                let checksum = fnv1a64(&dump);
+                dump.extend_from_slice(&checksum.to_le_bytes());
+            }
+            let err = expect_err(decode(dump, &g, cfg));
+            let name = String::from_utf8_lossy(magic);
+            assert!(err.contains(name.as_ref()), "{err}");
+            assert!(err.contains("rebuild the index"), "{err}");
         }
     }
 
@@ -490,14 +476,14 @@ mod tests {
         let (g, _, _) = fixture();
         let cfg = LshConfig::new(32, 8);
         // Adversarial inputs: empty, short, huge length fields after a
-        // valid-looking TLI2 prefix. All must return Err, none may panic.
+        // valid-looking TLI3 prefix. All must return Err, none may panic.
         let mut huge_lengths = Vec::new();
-        huge_lengths.extend_from_slice(b"TLI2");
+        huge_lengths.extend_from_slice(b"TLI3");
         huge_lengths.extend_from_slice(&u32::MAX.to_le_bytes());
         huge_lengths.extend_from_slice(&[0xFF; 32]);
         let inputs: Vec<Vec<u8>> = vec![
             Vec::new(),
-            b"TLI2".to_vec(),
+            b"TLI3".to_vec(),
             b"NOPE".repeat(8),
             huge_lengths,
             vec![0u8; 64],
@@ -607,22 +593,12 @@ mod tests {
         assert!(err.contains("truncated"), "{err}");
     }
 
-    #[test]
-    fn legacy_tli1_with_trailing_garbage_is_rejected() {
-        let (g, lake, _) = fixture();
-        let cfg = LshConfig::new(32, 8);
-        let mut bytes = encode_payload(&build_fixture_lsei(&g, &lake, cfg), MAGIC_V1).to_vec();
-        bytes.extend_from_slice(&[0xAB, 0xCD, 0xEF]);
-        let err = expect_err(decode(bytes, &g, cfg));
-        assert!(err.contains("trailing"), "{err}");
-    }
-
     /// Fault-plan state is process-global, so tests that arm failpoints
     /// (or read files the fault tests could corrupt) must not interleave.
     static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("thetis-persist-{}-{tag}.tli2", std::process::id()))
+        std::env::temp_dir().join(format!("thetis-persist-{}-{tag}.tli3", std::process::id()))
     }
 
     #[test]
@@ -643,7 +619,7 @@ mod tests {
             );
         }
         // The temp sibling must not linger after a successful rename.
-        assert!(!path.with_extension("tli2.tmp").exists());
+        assert!(!path.with_extension("tmp").exists());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -10,10 +10,10 @@
 //! - **Admission control** ([`ServerConfig::max_inflight`]): a saturated
 //!   server sheds excess searches immediately with an `overloaded`
 //!   response instead of queueing them into a latency cliff.
-//! - **A cross-query σ memo** ([`SharedSimilarityCache`]
-//!   (thetis_core::SharedSimilarityCache)): entity-pair similarities
-//!   computed by one query are served to the next, bounded in memory and
-//!   evicted whenever the lake epoch advances.
+//! - **A cross-query σ memo**
+//!   ([`SharedSimilarityCache`](thetis_core::SharedSimilarityCache)):
+//!   entity-pair similarities computed by one query are served to the
+//!   next, bounded in memory and evicted whenever the lake epoch advances.
 //!
 //! Results are **bit-identical** to one-shot CLI runs over the same lake:
 //! the server builds its LSEI with the exact CLI construction and the

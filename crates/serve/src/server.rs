@@ -17,7 +17,7 @@
 //!
 //! ## Epochs
 //!
-//! Every search pins the current [`EpochState`] (lake snapshot +
+//! Every search pins the current `EpochState` (lake snapshot +
 //! informativeness + LSEI, all derived from the same epoch) before doing
 //! any work, so mutations committed mid-flight never tear a query.
 //! Mutations commit through the [`EpochLake`] writer path; the LSEI is
@@ -25,7 +25,7 @@
 //! `insert_table`/`remove_table` per mutation, never a rebuild) while the
 //! informativeness weights are recomputed from the new snapshot. The
 //! shared σ memo notices the epoch advance on the next search and evicts
-//! itself (see [`SharedSimilarityCache`](thetis_core::SharedSimilarityCache)).
+//! itself (see [`SharedSimilarityCache`]).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -38,8 +38,8 @@ use thetis_obs::rolling::WindowClock;
 use thetis_obs::{PromotionPolicy, QueryTrace};
 
 use thetis_core::{
-    EmbeddingCosine, EntitySimilarity, Informativeness, PredicateJaccard, Query, SearchOptions,
-    SharedSimilarityCache, SigmaKernel, ThetisEngine, TypeJaccard,
+    Candidates, EmbeddingCosine, EntitySimilarity, Informativeness, PredicateJaccard, Query,
+    SearchOptions, SharedSimilarityCache, SigmaKernel, ThetisEngine, TypeJaccard,
 };
 use thetis_datalake::wal::{Wal, WalRecord};
 use thetis_datalake::{DataLake, EntityLinker, EpochLake, ExactLabelLinker, Mutation, TableId};
@@ -745,14 +745,8 @@ impl Server {
         let query_id = self.metrics.next_query_id(spec);
         let trace = QueryTrace::summary(query_id);
         let faults_before = self.metrics.faults_fired();
-        let result = engine.search_prefiltered_shared(
-            &query,
-            options,
-            state.lsei.as_ref(),
-            votes,
-            cache,
-            &trace,
-        );
+        let candidates = Candidates::lsei(state.lsei.as_ref(), &query, votes, &trace);
+        let result = engine.execute(&query, options, candidates, Some(cache), &trace);
         let fault_fired = self.metrics.faults_fired() > faults_before;
 
         let ranked = result

@@ -7,12 +7,13 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use thetis_core::{SearchOptions, ThetisEngine, TypeJaccard};
+use thetis_core::{Candidates, SearchOptions, SimilarityCache, ThetisEngine, TypeJaccard};
 use thetis_corpus::{Benchmark, BenchmarkConfig, BenchmarkKind};
 use thetis_datalake::{DataLake, EntityLinker, ExactLabelLinker};
 use thetis_kg::KnowledgeGraph;
 use thetis_lsh::lsei::{Lsei, LseiMode, TypeSigner};
 use thetis_lsh::{LshConfig, TypeFilter};
+use thetis_obs::QueryTrace;
 use thetis_serve::{
     parse_query_spec, serve, Request, Response, RunningServer, Server, ServerConfig,
 };
@@ -84,17 +85,22 @@ fn concurrent_clients_match_the_oneshot_engine_bit_for_bit() {
         LseiMode::Entity,
     );
     let engine = ThetisEngine::new(&graph, &lake, TypeJaccard::new(&graph));
+    // The same `execute` call `handle_search` makes: LSEI candidates and a
+    // σ memo shared across every query.
+    let memo = SimilarityCache::new();
+    let off = QueryTrace::disabled();
     let expected: Vec<Vec<(u64, u64)>> = specs
         .iter()
         .map(|spec| {
             let (query, _) = parse_query_spec(spec, &graph);
+            let candidates = Candidates::lsei(Some(&lsei), &query, 1, &off);
             engine
-                .search_prefiltered_resilient(
+                .execute(
                     &query,
                     SearchOptions::top(10),
-                    Some(&lsei),
-                    1,
-                    &thetis_obs::QueryTrace::disabled(),
+                    candidates,
+                    Some(&memo),
+                    &off,
                 )
                 .ranked
                 .iter()

@@ -92,10 +92,10 @@ options:
   --deadline-ms N        wall-clock scoring budget; on expiry the best-so-
                          far top-k is returned and a degradation warning
                          explains what was skipped
-  --index FILE           load the LSEI from a TLI1/TLI2 snapshot instead of
-                         building it (missing file is an error; a corrupt
-                         or unverifiable file falls back to an exhaustive
-                         scan with a warning)
+  --index FILE           load the LSEI from a TLI3 snapshot instead of
+                         building it (missing file is an error; a corrupt,
+                         unverifiable or retired-format file falls back to
+                         an exhaustive scan with a warning)
   --save-index FILE      after building the LSEI, persist it crash-safely
                          to FILE (implies --lsh)
   --csv FILE             (add) the CSV file to ingest as a new table
@@ -634,8 +634,6 @@ fn run() -> Result<(), String> {
     }
 
     let result = if args.use_lsh {
-        let cfg = LshConfig::recommended();
-        let filter = TypeFilter::from_lake(&lake, &graph, 0.5);
         // Load the index snapshot if one was given, build it otherwise. A
         // missing snapshot file is a hard error (most likely a typo); a
         // snapshot that fails verification degrades to an exhaustive scan.
@@ -643,8 +641,8 @@ fn run() -> Result<(), String> {
             Some(path) => {
                 match thetis::lsh::persist::read_lsei_file(
                     path,
-                    TypeSigner::new(&graph, filter.clone(), cfg, 42),
-                    cfg,
+                    lsei_signer(&graph, &lake),
+                    LshConfig::recommended(),
                 ) {
                     Ok(l) => Some(l),
                     Err(e) => {
@@ -657,24 +655,15 @@ fn run() -> Result<(), String> {
                     }
                 }
             }
-            None => Some(Lsei::build(
-                &lake,
-                TypeSigner::new(&graph, filter.clone(), cfg, 42),
-                cfg,
-                LseiMode::Entity,
-            )),
+            None => Some(build_lsei(&graph, &lake)),
         };
         if let (Some(l), Some(out)) = (&lsei, &args.save_index) {
             thetis::lsh::persist::write_lsei_file(l, out)?;
             eprintln!("wrote LSEI snapshot to {}", out.display());
         }
-        engine.search_prefiltered_resilient(
-            &query,
-            options,
-            lsei.as_ref(),
-            args.votes,
-            &thetis::obs::QueryTrace::disabled(),
-        )
+        let off = thetis::obs::QueryTrace::disabled();
+        let candidates = Candidates::lsei(lsei.as_ref(), &query, args.votes, &off);
+        engine.execute(&query, options, candidates, None, &off)
     } else {
         engine.search(&query, options)
     };
@@ -1020,12 +1009,10 @@ fn run_slowlog(args: &Args) -> Result<(), String> {
 fn run_delta(args: &Args, graph: &KnowledgeGraph, lake: &mut DataLake) -> Result<(), String> {
     let index_path = args.index.as_ref().expect("validated");
     let tables_dir = args.tables.as_ref().expect("validated");
-    let cfg = LshConfig::recommended();
-    let filter = TypeFilter::from_lake(lake, graph, 0.5);
     let mut lsei = thetis::lsh::persist::read_lsei_file(
         index_path,
-        TypeSigner::new(graph, filter, cfg, 42),
-        cfg,
+        lsei_signer(graph, lake),
+        LshConfig::recommended(),
     )
     .map_err(|e| format!("cannot load index {}: {e}", index_path.display()))?;
 
@@ -1201,6 +1188,21 @@ fn query_trace_id(query: &Query) -> u64 {
     h
 }
 
+/// The signer of the CLI's one LSEI construction — recommended config, a
+/// type filter banning types found in more than half the lake's tables,
+/// seed 42. `thetis-serve` mirrors it, so served and one-shot rankings agree bit
+/// for bit, and a snapshot saved by one loads in the other.
+fn lsei_signer<'g>(graph: &'g KnowledgeGraph, lake: &DataLake) -> TypeSigner<'g> {
+    let filter = TypeFilter::from_lake(lake, graph, 0.5);
+    TypeSigner::new(graph, filter, LshConfig::recommended(), 42)
+}
+
+/// Builds the CLI's LSEI over `lake` (see [`lsei_signer`]).
+fn build_lsei<'g>(graph: &'g KnowledgeGraph, lake: &DataLake) -> Lsei<TypeSigner<'g>> {
+    let cfg = LshConfig::recommended();
+    Lsei::build(lake, lsei_signer(graph, lake), cfg, LseiMode::Entity)
+}
+
 /// The `explain` subcommand: a traced LSEI search followed by the full
 /// score-provenance record of every top-k hit.
 fn run_explain<S: EntitySimilarity>(
@@ -1212,20 +1214,14 @@ fn run_explain<S: EntitySimilarity>(
     options: SearchOptions,
     obs_allowed: bool,
 ) -> Result<(), String> {
-    let cfg = LshConfig::recommended();
-    let filter = TypeFilter::from_lake(lake, graph, 0.5);
-    let lsei = Lsei::build(
-        lake,
-        TypeSigner::new(graph, filter, cfg, 42),
-        cfg,
-        LseiMode::Entity,
-    );
+    let lsei = build_lsei(graph, lake);
     let trace = if obs_allowed {
         thetis::obs::QueryTrace::forced(query_trace_id(query))
     } else {
         thetis::obs::QueryTrace::disabled()
     };
-    let result = engine.search_prefiltered_traced(query, options, &lsei, args.votes, &trace);
+    let candidates = Candidates::lsei(Some(&lsei), query, args.votes, &trace);
+    let result = engine.execute(query, options, candidates, None, &trace);
     warn_if_degraded(&result.stats);
 
     let label = |e: thetis::kg::EntityId| graph.label(e).to_string();

@@ -60,9 +60,9 @@ pub mod prelude {
         Bm25Index, Bm25Params, JoinSearch, TableEmbeddingSearch, UnionSearch, UnionVariant,
     };
     pub use thetis_core::{
-        DegradedReasons, EmbeddingCosine, EntitySimilarity, Informativeness, PredicateJaccard,
-        Query, RowAgg, Schedule, SearchOptions, SearchResult, SearchStats, SigmaKernel,
-        SimilarityCache, ThetisEngine, TypeJaccard,
+        Candidates, DegradedReasons, EmbeddingCosine, EntitySimilarity, Informativeness,
+        PredicateJaccard, Query, RowAgg, Schedule, SearchOptions, SearchResult, SearchStats,
+        SigmaKernel, SimilarityCache, ThetisEngine, TypeJaccard,
     };
     pub use thetis_corpus::{
         BenchQuery, Benchmark, BenchmarkConfig, BenchmarkKind, GroundTruth, TableGenConfig,
