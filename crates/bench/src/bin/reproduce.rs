@@ -8,11 +8,12 @@
 //!
 //! Subcommands: `table2`, `fig4`, `fig5`, `table3` (includes Table 4),
 //! `scoring-cost`, `scaling`, `other-corpora` (WT2019 + GitTables),
-//! `fig6`, `agg-ablation`, `bm25-prefilter`, `noisy-linking`, `all`.
+//! `fig6`, `agg-ablation`, `bm25-prefilter`, `noisy-linking`,
+//! `sim-ablation`, `relaxation`, `delta-maintenance`, `serve`, `all`.
 //!
 //! Flags: `--scale <f64>` (default 0.01 — 1/100 of each paper corpus),
-//! `--queries <n>` (default 50), `--threads <n>` (scoring workers,
-//! default all cores), `--out <dir>` (default `results/`).
+//! `--queries <n>` (default 50), `--out <dir>` (default `results/`,
+//! created on the first write), `--connect <host:port>` (`serve` only).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -20,9 +21,8 @@ use std::process::ExitCode;
 use thetis_bench::experiments;
 use thetis_bench::Ctx;
 
-const USAGE: &str =
-    "usage: reproduce <experiment> [--scale F] [--queries N] [--threads N] [--out DIR]
-                     [--kernel f64|f32|i8] [--connect HOST:PORT]
+const USAGE: &str = "usage: reproduce <experiment> [--scale F] [--queries N] [--out DIR]
+                     [--connect HOST:PORT]
 experiments:
   table2         Table 2   corpus statistics (all four corpora)
   fig4           Figure 4  NDCG@10: STST/STSE, 6 LSH configs, BM25, union search
@@ -37,21 +37,13 @@ experiments:
   noisy-linking  §7.5      degraded-linker robustness
   sim-ablation   §8        all four σ instantiations head to head
   relaxation     §8        query relaxation on over-specialized queries
-  smoke          CI        quick perf-smoke workload (LSEI + scoring)
   delta-maintenance CI     incremental mutation vs full rebuild microbench
-  serve          CI        open-loop QPS/latency bench of the resident
-                           query service (in-process, or an external
-                           server via --connect HOST:PORT)
-  all            run everything above in order
+  serve          CI        open-loop functional run of the resident query
+                           service (in-process, or an external server
+                           via --connect HOST:PORT)
+  all            run every paper artifact above (table2 to relaxation)
 
-Every run also snapshots the observability registry into
-BENCH_<experiment>.json (wall time, per-span totals, counters) in the
-output directory; see bench_gate for the CI regression check. An
-explicit --threads N pins the scoring worker count and suffixes the
-snapshot name (BENCH_<experiment>_tN.json) so per-thread-count
-baselines coexist. --kernel selects the sigma kernel for embedding
-similarity (f64 is the bit-exact reference; f32/i8 score from quantized
-SoA slabs) and suffixes artifacts the same way (BENCH_smoke_t1_f32.json).";
+Performance is measured by the repository benchmark (benchmark/run.sh).";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -62,8 +54,6 @@ fn main() -> ExitCode {
 
     let mut scale = 0.01f64;
     let mut queries = 50usize;
-    let mut threads = 0usize;
-    let mut kernel = thetis::core::SigmaKernel::default();
     let mut out = PathBuf::from("results");
     let mut connect: Option<String> = None;
     let mut i = 1;
@@ -81,20 +71,6 @@ fn main() -> ExitCode {
                     .get(i + 1)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--queries needs an integer"));
-                i += 2;
-            }
-            "--threads" => {
-                threads = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--threads needs an integer"));
-                i += 2;
-            }
-            "--kernel" => {
-                kernel = args
-                    .get(i + 1)
-                    .and_then(|v| thetis::core::SigmaKernel::parse(v))
-                    .unwrap_or_else(|| die("--kernel must be f64, f32 or i8"));
                 i += 2;
             }
             "--out" => {
@@ -118,24 +94,14 @@ fn main() -> ExitCode {
         die("--scale must be in (0, 1]");
     }
 
-    let ctx = Ctx::new(scale, queries, out)
-        .with_threads(threads)
-        .with_kernel(kernel)
-        .with_connect(connect);
-    // THETIS_OBS=0 runs the experiments with telemetry fully off (the
-    // BENCH_*.json snapshot then carries wall time but empty metrics).
-    if !thetis::obs::env_disabled() {
-        thetis::obs::set_enabled(true);
-    }
+    let ctx = Ctx::new(scale, queries, out).with_connect(connect);
     let start = std::time::Instant::now();
     let known = run_experiment(&ctx, &command);
     if !known {
         eprintln!("unknown experiment {command:?}\n{USAGE}");
         return ExitCode::FAILURE;
     }
-    let wall = start.elapsed().as_secs_f64();
-    thetis_bench::write_bench_report(&ctx, &command, wall);
-    eprintln!("[done] {command} in {wall:.1}s");
+    eprintln!("[done] {command} in {:.1}s", start.elapsed().as_secs_f64());
     ExitCode::SUCCESS
 }
 
@@ -154,7 +120,6 @@ fn run_experiment(ctx: &Ctx, command: &str) -> bool {
         "noisy-linking" => experiments::ablations::noisy_linking(ctx),
         "sim-ablation" => experiments::extensions::sim_ablation(ctx),
         "relaxation" => experiments::extensions::relaxation(ctx),
-        "smoke" => experiments::smoke::run(ctx),
         "delta-maintenance" | "delta" => experiments::delta::run(ctx),
         "serve" => experiments::serve_bench::run(ctx),
         "all" => {

@@ -38,17 +38,8 @@ pub struct Ctx {
     pub scale: f64,
     /// Queries per corpus (the paper uses 50).
     pub n_queries: usize,
-    /// Scoring worker threads (0 = all available cores). Experiments that
-    /// search through `SearchOptions` honor this; result artifacts carry a
-    /// `_t<N>` suffix when it is explicit, so per-thread-count baselines
-    /// can coexist.
-    pub threads: usize,
-    /// σ kernel for embedding-similarity searches (`--kernel`). The f64
-    /// reference is the default; quantized kernels suffix result artifacts
-    /// (`_f32`, `_i8`) so per-kernel baselines coexist next to the f64
-    /// ones.
-    pub kernel: SigmaKernel,
-    /// Directory for JSON result dumps.
+    /// Directory for JSON result dumps, created by the first
+    /// [`Ctx::write_json`].
     pub out_dir: PathBuf,
     /// Address of an already-running `thetis-cli serve` instance. When
     /// set, the `serve` experiment drives that server instead of booting
@@ -60,60 +51,19 @@ pub struct Ctx {
 impl Ctx {
     /// Creates a context.
     pub fn new(scale: f64, n_queries: usize, out_dir: PathBuf) -> Self {
-        std::fs::create_dir_all(&out_dir).expect("cannot create output directory");
         Self {
             scale,
             n_queries,
-            threads: 0,
-            kernel: SigmaKernel::default(),
             out_dir,
             connect: None,
             cache: Mutex::new(Vec::new()),
         }
     }
 
-    /// Sets an explicit scoring thread count (0 = all cores).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the σ kernel embedding-similarity experiments run under.
-    pub fn with_kernel(mut self, kernel: SigmaKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Points the `serve` experiment at an external server.
     pub fn with_connect(mut self, connect: Option<String>) -> Self {
         self.connect = connect;
         self
-    }
-
-    /// The artifact suffix for this context's thread count (`"_t4"` when
-    /// explicit, empty otherwise).
-    pub fn thread_suffix(&self) -> String {
-        if self.threads > 0 {
-            format!("_t{}", self.threads)
-        } else {
-            String::new()
-        }
-    }
-
-    /// The artifact suffix for this context's σ kernel (`"_f32"` / `"_i8"`
-    /// when quantized, empty for the f64 reference — existing baselines
-    /// keep their names).
-    pub fn kernel_suffix(&self) -> String {
-        match self.kernel {
-            SigmaKernel::F64Exact => String::new(),
-            k => format!("_{}", k.name()),
-        }
-    }
-
-    /// The combined artifact suffix: thread count then kernel
-    /// (`"_t1_f32"`), so per-thread and per-kernel baselines coexist.
-    pub fn artifact_suffix(&self) -> String {
-        format!("{}{}", self.thread_suffix(), self.kernel_suffix())
     }
 
     /// Returns (building and caching on first use) the data for `kind`.
@@ -134,8 +84,10 @@ impl Ctx {
         built
     }
 
-    /// Writes a JSON result artifact.
+    /// Writes a JSON result artifact, creating the output directory on
+    /// first use (a run that writes nothing leaves no directory behind).
     pub fn write_json(&self, name: &str, value: &impl serde::Serialize) {
+        std::fs::create_dir_all(&self.out_dir).expect("cannot create output directory");
         let path = self.out_dir.join(format!("{name}.json"));
         let json = serde_json::to_string_pretty(value).expect("serializable result");
         std::fs::write(&path, json).expect("cannot write result file");

@@ -4,7 +4,8 @@
 //! The delta paths (`DataLake::{add_table, remove_table}` plus
 //! `Lsei::{insert_table, remove_table}`) exist to make patching the
 //! indexes for one table O(cells of that table) instead of O(corpus). This
-//! experiment measures three sides on the CI smoke lake:
+//! experiment measures three sides on a small WebTables lake (scale capped
+//! at 0.002):
 //!
 //! * **delta**: one full remove+re-add cycle of a representative table,
 //!   patching postings, digests, and band buckets in place;
@@ -17,7 +18,7 @@
 //!   box, and the number the delta/rebuild ratio leaves out.
 //!
 //! The acceptance bar is delta ≥ 10× cheaper than rebuild; the run fails
-//! loudly if the smoke lake ever regresses below that.
+//! loudly if the capped lake ever regresses below that.
 
 use serde::Serialize;
 use std::time::Instant;
@@ -27,7 +28,8 @@ use thetis::prelude::*;
 
 use crate::context::Ctx;
 
-/// Same cap as the smoke workload: CI wants seconds, not fidelity.
+/// Corpus fraction cap, whatever `--scale` says: CI wants seconds, not
+/// fidelity.
 const MAX_SCALE: f64 = 0.002;
 
 /// Remove+re-add cycles timed on the delta side.
@@ -40,7 +42,7 @@ const REBUILD_ITERS: usize = 6;
 const COMMIT_ITERS: usize = 24;
 
 /// The acceptance ratio: a delta must be at least this much cheaper than a
-/// rebuild on the smoke lake.
+/// rebuild on the capped lake.
 const MIN_SPEEDUP: f64 = 10.0;
 
 #[derive(Serialize)]
@@ -146,7 +148,7 @@ pub fn run(ctx: &Ctx) -> String {
         speedup,
         mean_commit_seconds * 1e6,
     );
-    ctx.write_json(&format!("delta_summary{}", ctx.thread_suffix()), &summary);
+    ctx.write_json("delta_summary", &summary);
     println!("{line}");
     assert!(
         speedup >= MIN_SPEEDUP,

@@ -11,6 +11,5 @@ pub mod other_corpora;
 pub mod scaling;
 pub mod scoring_cost;
 pub mod serve_bench;
-pub mod smoke;
 pub mod table2;
 pub mod table3;

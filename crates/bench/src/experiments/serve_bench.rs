@@ -1,5 +1,4 @@
-//! `serve` — open-loop QPS/latency benchmark of the resident query
-//! service.
+//! `serve` — open-loop functional run of the resident query service.
 //!
 //! Drives the same tiny demo lake `thetis-cli serve --demo` loads with a
 //! Poisson-ish open-loop arrival process (exponential inter-arrivals from
@@ -14,10 +13,12 @@
 //! `thetis-cli serve` instead — that is how the CI serve-smoke job wires
 //! it up — and only client-side metrics are recorded.
 //!
-//! Client latencies land in the `serve.client_latency` histogram, which
-//! the enclosing `reproduce` run snapshots into `BENCH_serve.json`;
-//! `bench_gate --p99-threshold` gates its p99 against the committed
-//! baseline.
+//! The run asserts correctness, not speed: at least 200 answered
+//! requests, a warm shared-memo hit, and a `deadline_ms: 0` probe that
+//! degrades instead of failing. Its latencies are reported in
+//! `serve_summary.json` but gate nothing; serve performance is measured
+//! by the repository benchmark's `serve-hot` and `ingest-mixed`
+//! workloads.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -40,22 +41,6 @@ const TARGET_QPS: f64 = 200.0;
 /// Concurrent client connections.
 const CLIENTS: usize = 4;
 
-/// Mutations per server in the WAL-overhead microbench.
-const WAL_BENCH_MUTATIONS: usize = 24;
-
-/// Client-observed request latency (send to response line).
-static OBS_CLIENT_LATENCY: thetis::obs::Histogram =
-    thetis::obs::Histogram::new("serve.client_latency");
-
-/// Client-observed mutation commit latency without a journal.
-static OBS_MUTATION_WAL_OFF: thetis::obs::Histogram =
-    thetis::obs::Histogram::new("serve.mutation_commit_wal_off");
-
-/// Client-observed mutation commit latency with write-ahead journaling
-/// (append + fsync before publish).
-static OBS_MUTATION_WAL_ON: thetis::obs::Histogram =
-    thetis::obs::Histogram::new("serve.mutation_commit_wal_on");
-
 #[derive(Serialize)]
 struct ServeSummary {
     requests: usize,
@@ -70,9 +55,6 @@ struct ServeSummary {
     phase2_mean_sigma_hit_rate: f64,
     server_cache_hit_rate: f64,
     server_cache_invalidations: u64,
-    mutation_commit_wal_off_us: f64,
-    mutation_commit_wal_on_us: f64,
-    wal_overhead_ratio: f64,
 }
 
 struct Outcome {
@@ -156,30 +138,6 @@ pub fn run(ctx: &Ctx) -> String {
     }
 
     let start = Instant::now();
-    // Sample the server's rolling window while the load runs, so the
-    // report carries the within-run latency trajectory next to the
-    // end-of-run percentiles.
-    let sampling = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-    let sampler = {
-        let addr = addr.clone();
-        let sampling = std::sync::Arc::clone(&sampling);
-        std::thread::spawn(move || {
-            let mut points = Vec::new();
-            while sampling.load(std::sync::atomic::Ordering::Relaxed) {
-                if let Some(snap) = query_metrics(&addr) {
-                    points.push(crate::telemetry::WindowPoint {
-                        t_ms: start.elapsed().as_millis() as u64,
-                        qps: snap.qps,
-                        p50_us: snap.p50_us,
-                        p99_us: snap.p99_us,
-                        window_requests: snap.window_requests,
-                    });
-                }
-                std::thread::sleep(Duration::from_millis(250));
-            }
-            points
-        })
-    };
     let outcomes: Vec<Option<Outcome>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|client| {
@@ -210,15 +168,11 @@ pub fn run(ctx: &Ctx) -> String {
                             })
                             .ok()
                             .and_then(|reply| serde_json::from_str::<Response>(&reply).ok())
-                            .map(|resp| {
-                                let latency_ns = sent.elapsed().as_nanos() as u64;
-                                OBS_CLIENT_LATENCY.observe_nanos(latency_ns);
-                                Outcome {
-                                    ok: resp.is_ok(),
-                                    overloaded: resp.status == "overloaded",
-                                    latency_ns,
-                                    sigma_hit_rate: resp.sigma_hit_rate.unwrap_or(0.0),
-                                }
+                            .map(|resp| Outcome {
+                                ok: resp.is_ok(),
+                                overloaded: resp.status == "overloaded",
+                                latency_ns: sent.elapsed().as_nanos() as u64,
+                                sigma_hit_rate: resp.sigma_hit_rate.unwrap_or(0.0),
                             });
                         got.push((i, outcome));
                     }
@@ -235,10 +189,6 @@ pub fn run(ctx: &Ctx) -> String {
         all
     });
     let wall = start.elapsed().as_secs_f64();
-    sampling.store(false, std::sync::atomic::Ordering::Relaxed);
-    let window_points = sampler.join().expect("sampler thread");
-    let window_samples = window_points.len();
-    crate::telemetry::record_window_series(window_points);
 
     // A final pre-expired-deadline probe: the server must degrade it
     // gracefully (partial ranking, reasons named) rather than erroring,
@@ -247,34 +197,22 @@ pub fn run(ctx: &Ctx) -> String {
         let mut req = Request::search(&specs[0]);
         req.deadline_ms = Some(0);
         send_one(&addr, &req)
+            .unwrap_or_else(|| panic!("deadline probe got no parsable reply from {addr}"))
     };
-    if let Some(probe) = &probe {
-        assert!(
-            probe.is_ok() && probe.degraded == Some(true),
-            "deadline probe must degrade, not fail: {probe:?}"
-        );
-        assert!(
-            probe.query_id.is_some(),
-            "searches must answer with a query id: {probe:?}"
-        );
-    }
+    assert!(
+        probe.is_ok() && probe.degraded == Some(true),
+        "deadline probe must degrade, not fail: {probe:?}"
+    );
+    assert!(
+        probe.query_id.is_some(),
+        "searches must answer with a query id: {probe:?}"
+    );
 
     // Server-side counters (works against both targets).
     let stats = query_stats(&addr);
     if let Some(running) = local.take() {
         running.shutdown();
     }
-
-    // WAL overhead microbench: the same mutation stream against a
-    // journal-off and a journal-on server, client-observed commit
-    // latency. Journaled commits pay one append + fsync per mutation and
-    // must stay O(table) — a blowup here means the journal started
-    // rewriting the corpus.
-    let (wal_off_us, wal_on_us) = mutation_commit_bench();
-    let wal_ratio = wal_on_us / wal_off_us.max(1e-9);
-    eprintln!(
-        "[serve] mutation commit: {wal_off_us:.0}us wal-off, {wal_on_us:.0}us wal-on (x{wal_ratio:.2})"
-    );
 
     let ok = outcomes
         .iter()
@@ -330,12 +268,9 @@ pub fn run(ctx: &Ctx) -> String {
         phase2_mean_sigma_hit_rate: phase2_hit_rate,
         server_cache_hit_rate: stats.as_ref().map_or(0.0, |s| s.cache_hit_rate),
         server_cache_invalidations: stats.as_ref().map_or(0, |s| s.cache_invalidations),
-        mutation_commit_wal_off_us: wal_off_us,
-        mutation_commit_wal_on_us: wal_on_us,
-        wal_overhead_ratio: wal_ratio,
     };
     let line = format!(
-        "serve: {}/{} ok ({} shed), {:.0} req/s achieved, p50 {}us p99 {}us, warm sigma hit rate {:.2}, wal commit x{:.2}, {window_samples} window sample(s)",
+        "serve: {}/{} ok ({} shed), {:.0} req/s achieved, p50 {}us p99 {}us, warm sigma hit rate {:.2}",
         summary.ok,
         summary.requests,
         summary.overloaded,
@@ -343,9 +278,8 @@ pub fn run(ctx: &Ctx) -> String {
         summary.p50_micros,
         summary.p99_micros,
         summary.phase2_mean_sigma_hit_rate,
-        summary.wal_overhead_ratio,
     );
-    ctx.write_json(&format!("serve_summary{}", ctx.thread_suffix()), &summary);
+    ctx.write_json("serve_summary", &summary);
     println!("{line}");
     line
 }
@@ -379,58 +313,6 @@ fn wait_for_server(addr: &str) {
     }
 }
 
-/// The WAL-on vs WAL-off mutation commit microbench: two in-process demo
-/// servers take [`WAL_BENCH_MUTATIONS`] identical `add_table` commits
-/// each; returns the mean client-observed commit latency (µs) per mode.
-/// Checkpointing is disabled so the journaled side measures exactly the
-/// write-ahead cost: encode + append + fsync before publish.
-fn mutation_commit_bench() -> (f64, f64) {
-    let run = |wal: Option<std::path::PathBuf>, hist: &thetis::obs::Histogram| -> f64 {
-        let bench = Benchmark::build(&BenchmarkConfig::tiny(BenchmarkKind::Wt2015));
-        let graph = bench.kg.graph;
-        let mut lake = bench.lake;
-        ExactLabelLinker::new(&graph).link_lake(&mut lake);
-        let server = thetis::serve::Server::new(
-            graph,
-            lake,
-            None,
-            thetis::serve::ServerConfig {
-                threads: 1,
-                wal,
-                checkpoint_every: 0,
-                checkpoint_interval: Duration::ZERO,
-                ..Default::default()
-            },
-        );
-        let running = thetis::serve::serve(server).expect("bind loopback server");
-        let addr = running.addr().to_string();
-        let mut total_ns = 0u64;
-        for i in 0..WAL_BENCH_MUTATIONS {
-            let mut req = Request::op("add_table");
-            req.name = Some(format!("wal_bench_t{i}"));
-            req.csv = Some(format!("col_a,col_b\nv{i},w{i}\n"));
-            let sent = Instant::now();
-            let resp = send_one(&addr, &req).expect("mutation response");
-            assert!(resp.is_ok(), "bench mutation failed: {resp:?}");
-            let ns = sent.elapsed().as_nanos() as u64;
-            hist.observe_nanos(ns);
-            total_ns += ns;
-        }
-        running.shutdown();
-        total_ns as f64 / WAL_BENCH_MUTATIONS as f64 / 1_000.0
-    };
-
-    let off = run(None, &OBS_MUTATION_WAL_OFF);
-    let journal =
-        std::env::temp_dir().join(format!("thetis-serve-bench-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(journal.with_extension("ckpt"));
-    let on = run(Some(journal.clone()), &OBS_MUTATION_WAL_ON);
-    let _ = std::fs::remove_file(&journal);
-    let _ = std::fs::remove_file(journal.with_extension("ckpt"));
-    (off, on)
-}
-
 /// Fetches the server's stats counters, best-effort.
 fn query_stats(addr: &str) -> Option<thetis::serve::ServerStats> {
     let stream = TcpStream::connect(addr).ok()?;
@@ -441,17 +323,8 @@ fn query_stats(addr: &str) -> Option<thetis::serve::ServerStats> {
     serde_json::from_str::<Response>(&reply).ok()?.stats
 }
 
-/// Fetches the server's rolling-window metrics snapshot, best-effort.
-fn query_metrics(addr: &str) -> Option<thetis::serve::MetricsSnapshot> {
-    let stream = TcpStream::connect(addr).ok()?;
-    let mut writer = stream.try_clone().ok()?;
-    writer.write_all(b"{\"op\":\"metrics\"}\n").ok()?;
-    let mut reply = String::new();
-    BufReader::new(stream).read_line(&mut reply).ok()?;
-    serde_json::from_str::<Response>(&reply).ok()?.metrics
-}
-
-/// One request over a fresh connection, best-effort.
+/// One request over a fresh connection; `None` when the exchange fails or
+/// the reply does not parse.
 fn send_one(addr: &str, req: &Request) -> Option<Response> {
     let stream = TcpStream::connect(addr).ok()?;
     let mut writer = stream.try_clone().ok()?;

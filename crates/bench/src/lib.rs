@@ -2,8 +2,9 @@
 //!
 //! Every table and figure of the paper's evaluation (§7) has a function
 //! here that regenerates it on a scaled corpus; the `reproduce` binary
-//! exposes them as subcommands, and the Criterion benches in `benches/`
-//! micro-benchmark the hot paths behind them.
+//! exposes them as subcommands. End-to-end and per-layer performance is
+//! measured by the repository benchmark (`benchmark/`); the one timing bar
+//! kept here is `delta-maintenance`'s delta-vs-rebuild ratio.
 //!
 //! | artifact | module |
 //! |----------|--------|
@@ -19,11 +20,12 @@
 //! | Row-aggregation ablation (§7.2)         | [`experiments::ablations`] |
 //! | BM25-as-prefilter ablation (§7.3)       | [`experiments::ablations`] |
 //! | Noisy-linker robustness (§7.5)          | [`experiments::ablations`] |
+//! | σ and relaxation extensions (§8)        | [`experiments::extensions`] |
+//! | Incremental mutation vs rebuild         | [`experiments::delta`] |
+//! | Resident query service, functional run  | [`experiments::serve_bench`] |
 
 pub mod context;
 pub mod experiments;
 pub mod methods;
-pub mod telemetry;
 
 pub use context::{BenchData, Ctx};
-pub use telemetry::{record_window_series, write_bench_report, BenchReport, WindowPoint};

@@ -732,8 +732,19 @@ mod tests {
         let engine = ThetisEngine::new(&g, &lake, EmbeddingCosine::new(&store));
         let q = Query::single(vec![players[0], players[3]]);
         let exact = engine.search(&q, SearchOptions::top(4));
+        // The f64 reference never builds a slab; each quantized search
+        // builds its own, so a silent fallback to the scalar path (whose
+        // scores would pass the tolerance below) shows up as no growth.
+        let mut slab_bytes = engine.similarity().slab_bytes();
+        assert_eq!(slab_bytes, 0);
         for kernel in [SigmaKernel::F32, SigmaKernel::I8] {
             let quant = engine.search(&q, SearchOptions::top(4).with_kernel(kernel));
+            let grown = engine.similarity().slab_bytes();
+            assert!(
+                grown > slab_bytes,
+                "{kernel}: no slab built ({grown} bytes)"
+            );
+            slab_bytes = grown;
             assert_eq!(exact.table_ids(), quant.table_ids(), "{kernel}");
             for ((_, want), (_, got)) in exact.ranked.iter().zip(&quant.ranked) {
                 assert!((want - got).abs() < 0.05, "{kernel}: {got} vs {want}");

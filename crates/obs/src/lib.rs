@@ -75,8 +75,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Environment variable that force-disables all telemetry and tracing:
-/// binaries honoring the kill switch (`reproduce`, `thetis-cli`) skip
-/// [`set_enabled`]/[`set_trace_sampling`] entirely when it is set to `0`.
+/// `thetis-cli` skips [`set_enabled`]/[`set_trace_sampling`] entirely
+/// when it is set to `0`.
 pub const OBS_ENV_VAR: &str = "THETIS_OBS";
 
 /// Whether the `THETIS_OBS=0` kill switch is set in the environment.
