@@ -1,37 +1,46 @@
-//! Query-scoped σ memoization.
+//! σ memoization: a directory of dense per-query-entity rows.
 //!
-//! Algorithm 1 recomputes `σ(e, ē)` for the same `(query entity, lake
-//! entity)` pair many times in one search: the pair shows up once per
-//! occurrence of `ē` in every candidate table — in the score matrix, again
-//! in the row aggregation, and again for every other table mentioning `ē`.
-//! [`SimilarityCache`] memoizes each pair exactly once per search (or longer,
-//! when a caller shares one cache across searches), and
-//! [`CachedSimilarity`] threads the memo through the existing
-//! [`EntitySimilarity`] call sites without signature changes.
+//! Algorithm 1 needs `σ(e, ē)` for the same `(query entity, lake entity)`
+//! pair many times in one search: once when bounding a table, again when
+//! scoring it, and again for every other candidate table mentioning `ē`.
+//! [`SimilarityCache`] memoizes σ as a directory of dense rows, one per
+//! (query entity, [`SigmaKernel`]). A row has one cell per entity of the
+//! knowledge graph, so a lookup is an array index rather than a hash probe,
+//! and a row costs 8 bytes per graph entity whether it is filled or not.
 //!
-//! The cache is sharded so the parallel scorer's workers rarely contend on
-//! the same lock, and it counts lookups so searches can report
-//! `sigma_computed` / `sigma_cached`: every lookup either computes σ (miss)
-//! or serves it from the memo (hit), so the two counters always sum to the
-//! total number of lookups. Under a concurrent race two workers may both
-//! miss the same fresh pair and compute it twice; both count as computed, so
-//! the invariant still holds (σ must therefore be deterministic — see
-//! [`EntitySimilarity`]).
+//! A cell holds `σ.to_bits() + 1` and 0 means unset, so a fresh row is one
+//! zeroed allocation and every σ — 0.0, −0.0, negative cosines — stays
+//! distinguishable from "unset". Cells are read and filled with relaxed
+//! atomics: two workers racing to fill one cell compute the same σ and
+//! store the same bits (σ is deterministic, see [`EntitySimilarity`]).
+//!
+//! A search resolves all of its rows once, under one directory lock, into
+//! a [`MemoRows`]; [`SigmaRows::build`](crate::sigma::SigmaRows::build)
+//! then gathers each table's values from those rows and fills the misses
+//! with one batched kernel call per query entity. Rows are reference
+//! counted: a row the directory drops (capacity eviction, epoch
+//! invalidation) stays alive for the searches holding it, so a running
+//! search never recomputes a pair, and is freed with the last of them.
+//!
+//! Every gathered cell counts either as computed (it was unset and got
+//! filled) or as served (it was already filled), so the two counters sum
+//! to the number of lookups. Two workers racing on one fresh cell both
+//! count it as computed.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use thetis_kg::EntityId;
 
 use crate::similarity::{EntitySimilarity, SigmaKernel};
 
-/// Time spent actually evaluating σ (cache misses only). Timed per call —
+/// Time spent actually evaluating σ one pair at a time. Timed per call —
 /// a clock read costs a few percent of one σ evaluation — and only while
 /// metrics are enabled, so the disabled path stays clock-free.
 static OBS_SIGMA: thetis_obs::Span = thetis_obs::Span::new("core.sigma");
 
-/// Time spent in batched σ kernels (cache misses only); the count is the
+/// Time spent in batched σ kernels (memo misses only); the count is the
 /// number of pairs evaluated, so `nanos / count` is the amortized per-pair
 /// cost the batching buys.
 static OBS_SIGMA_BATCH: thetis_obs::Span = thetis_obs::Span::new("core.sigma_batch");
@@ -69,12 +78,13 @@ fn timed_sim_batch(
     OBS_SIGMA_BATCH.record_nanos(start.elapsed().as_nanos() as u64, bs.len() as u64);
 }
 
-/// Counter snapshot of a [`SimilarityCache`].
+/// Counter snapshot of a [`SimilarityCache`] or of one search's
+/// [`MemoRows`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// σ evaluations performed (cache misses).
+    /// Cells filled: σ evaluations performed (memo misses).
     pub computed: u64,
-    /// σ lookups served from the memo (cache hits).
+    /// Cells read already filled (memo hits).
     pub served: u64,
 }
 
@@ -93,14 +103,6 @@ impl CacheStats {
         }
     }
 
-    /// Counter-wise difference against an earlier snapshot.
-    pub fn since(&self, earlier: CacheStats) -> CacheStats {
-        CacheStats {
-            computed: self.computed - earlier.computed,
-            served: self.served - earlier.served,
-        }
-    }
-
     /// Records this delta as a `sigma.cache` event on `trace` (a no-op for
     /// an inactive trace): how many σ evaluations the search performed, how
     /// many lookups the memo served, and the resulting hit rate. One summary
@@ -116,35 +118,52 @@ impl CacheStats {
     }
 }
 
-/// One memo shard: `(query entity, lake entity, kernel tag) → σ`.
-type MemoShard = RwLock<HashMap<(u32, u32, u8), f64>>;
+/// One dense σ row of query entity `a`: cell `b` holds
+/// `σ(a, b).to_bits() + 1`, and 0 means unset.
+type Row = Arc<[AtomicU64]>;
 
-/// A thread-safe memo of `σ(query entity, lake entity)` values, sharded by
-/// key hash so parallel scoring workers mostly touch disjoint locks.
+/// An all-unset row of `cells` cells: one zeroed allocation, so the pages
+/// of a row a search never touches are never written (a row filled with
+/// `AtomicU64::new(0)` instead raised `serve-hot`'s peak RSS by 7.6 %).
+fn zeroed_row(cells: usize) -> Row {
+    // SAFETY: the all-zero bit pattern is a valid `AtomicU64` (the value 0).
+    unsafe { Arc::<[AtomicU64]>::new_zeroed_slice(cells).assume_init() }
+}
+
+/// The memo's rows, keyed by `(query entity, kernel tag)`, and the cells
+/// they hold in total.
+#[derive(Default)]
+struct Directory {
+    rows: HashMap<(u32, u8), Row>,
+    cells: usize,
+}
+
+/// A thread-safe σ memo: a directory of dense rows, one per
+/// `(query entity, kernel)`.
 ///
-/// Keys are directional — `(a, b)` and `(b, a)` are distinct entries — so no
-/// symmetry assumption is imposed on the wrapped similarity. Keys also
-/// carry the [`SigmaKernel`] tag the value was computed under: a search
-/// running the f32 kernel never observes a memoized f64 σ (or vice versa),
-/// even when a long-lived shared cache spans requests with different
-/// kernels.
+/// Rows are directional — row `a` holds `σ(a, ·)` — so no symmetry is
+/// assumed of the similarity. Rows are also keyed by the [`SigmaKernel`]
+/// their values were computed under: a search running the f32 kernel never
+/// reads an f64 σ (or vice versa), even when a long-lived shared cache
+/// spans requests with different kernels.
 ///
-/// Lock poisoning is recovered, not propagated: a worker that panics while
-/// holding a shard lock (panic isolation catches it per table) leaves the
-/// shard usable. Every write is a single `insert` of an independent entry,
-/// so a poisoned shard is never structurally torn — at worst one memo
-/// entry is missing and gets recomputed.
+/// The capacity counts σ cells of 8 bytes. When a new row would push the
+/// directory past it, the whole directory is dropped first and one eviction
+/// counted — no per-row recency is tracked. A directory therefore holds at
+/// most `capacity` cells, or one row when a single row is larger.
+///
+/// Lock poisoning is recovered, not propagated: the directory lock is held
+/// only to look up, insert or drop whole rows, so a poisoned directory is
+/// never structurally torn.
 pub struct SimilarityCache {
-    shards: Vec<MemoShard>,
+    dir: Mutex<Directory>,
+    /// Cell budget (0 = unbounded).
+    capacity: usize,
     computed: AtomicU64,
     served: AtomicU64,
-    /// Shard wipes forced by the capacity bound (or an explicit
+    /// Directory drops forced by the capacity bound (or an explicit
     /// [`SimilarityCache::evict_entries`]).
     evictions: AtomicU64,
-    /// Per-shard entry budget (0 = unbounded). Enforced at insert time:
-    /// a shard that would grow past it is wiped first, so total residency
-    /// stays under `shards × per_shard_cap` entries.
-    per_shard_cap: usize,
 }
 
 impl Default for SimilarityCache {
@@ -154,144 +173,164 @@ impl Default for SimilarityCache {
 }
 
 impl SimilarityCache {
-    /// Shard count used by [`SimilarityCache::new`]; enough that the
-    /// default parallel scorer (one worker per core) rarely contends.
-    pub const DEFAULT_SHARDS: usize = 64;
-
-    /// An empty cache with the default shard count.
+    /// An empty, unbounded cache.
     pub fn new() -> Self {
-        Self::with_shards(Self::DEFAULT_SHARDS)
+        Self::with_capacity(0)
     }
 
-    /// An empty cache with `shards` lock shards (rounded up to at least 1).
-    pub fn with_shards(shards: usize) -> Self {
-        Self::with_shards_and_capacity(shards, 0)
-    }
-
-    /// An empty cache with `shards` lock shards and a total entry budget.
-    ///
-    /// `capacity` bounds resident memo entries (each is 16 bytes of key +
-    /// value plus map overhead); 0 means unbounded. Eviction is
-    /// coarse-grained and cheap: when an insert would push a shard past its
-    /// `capacity / shards` slice, that whole shard is wiped first — a
-    /// random-ish 1/`shards` of the cache — rather than tracking any
-    /// per-entry recency. Evicted pairs are recomputed on next use; the
-    /// hit/miss counters are unaffected, so the
-    /// `computed + served == lookups` invariant survives eviction.
-    pub fn with_shards_and_capacity(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard_cap = if capacity == 0 {
-            0
-        } else {
-            capacity.div_ceil(shards).max(1)
-        };
+    /// An empty cache holding at most `cells` σ cells of 8 bytes
+    /// (0 = unbounded). A row has one cell per graph entity, so the budget
+    /// holds `cells / entity_count` rows.
+    pub fn with_capacity(cells: usize) -> Self {
         Self {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            dir: Mutex::new(Directory::default()),
+            capacity: cells,
             computed: AtomicU64::new(0),
             served: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            per_shard_cap,
         }
     }
 
-    /// Total entry budget this cache enforces (0 = unbounded).
+    /// The cell budget this cache enforces (0 = unbounded).
     pub fn capacity(&self) -> usize {
-        self.per_shard_cap * self.shards.len()
+        self.capacity
     }
 
-    /// Shard wipes performed so far (capacity evictions plus explicit
-    /// [`SimilarityCache::evict_entries`] calls, one per non-empty shard).
+    /// Directory drops performed so far (capacity evictions plus explicit
+    /// [`SimilarityCache::evict_entries`] calls on a non-empty cache).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Inserts under the capacity bound: wipes the shard first when the
-    /// insert would overflow its slice of the budget.
-    fn insert_bounded(&self, key: (u32, u32, u8), v: f64) {
-        let mut shard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
-        if self.per_shard_cap > 0 && shard.len() >= self.per_shard_cap && !shard.contains_key(&key)
-        {
-            shard.clear();
+    fn dir(&self) -> MutexGuard<'_, Directory> {
+        self.dir.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The rows of `entities` under `kernel`, resolved under one directory
+    /// lock: resident rows are shared, missing ones are allocated with
+    /// `cells` cells (the graph's entity count) and entered into the
+    /// directory. Misses gathered through the returned [`MemoRows`] are
+    /// evaluated by `sim` under `kernel`.
+    pub fn rows<'a>(
+        &self,
+        sim: &'a dyn EntitySimilarity,
+        kernel: SigmaKernel,
+        entities: Vec<EntityId>,
+        cells: usize,
+    ) -> MemoRows<'a> {
+        // Declared before the guard, so dropped rows are freed after the
+        // lock is released.
+        let mut retired = HashMap::new();
+        let mut dir = self.dir();
+        let rows = entities
+            .iter()
+            .map(|&e| {
+                let key = (e.0, kernel.tag());
+                if let Some(row) = dir.rows.get(&key) {
+                    return Arc::clone(row);
+                }
+                if self.capacity > 0 && dir.cells > 0 && dir.cells + cells > self.capacity {
+                    retired = std::mem::take(&mut dir.rows);
+                    dir.cells = 0;
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                }
+                let row = zeroed_row(cells);
+                dir.cells += cells;
+                dir.rows.insert(key, Arc::clone(&row));
+                row
+            })
+            .collect();
+        drop(dir);
+        drop(retired);
+        MemoRows {
+            sim,
+            kernel,
+            entities,
+            rows,
+            computed: AtomicU64::new(0),
+            served: AtomicU64::new(0),
+        }
+    }
+
+    /// σ cells held by the directory's rows, filled or not.
+    pub fn len(&self) -> usize {
+        self.dir().cells
+    }
+
+    /// Whether the directory holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Cumulative counters of every search whose [`MemoRows`] was
+    /// recorded here.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            computed: self.computed.load(Ordering::Relaxed),
+            served: self.served.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Adds one search's counters to the cumulative ones.
+    pub(crate) fn record(&self, search: CacheStats) {
+        self.computed.fetch_add(search.computed, Ordering::Relaxed);
+        self.served.fetch_add(search.served, Ordering::Relaxed);
+    }
+
+    /// Drops every row and resets the counters.
+    pub fn clear(&self) {
+        self.evict_entries();
+        self.computed.store(0, Ordering::Relaxed);
+        self.served.store(0, Ordering::Relaxed);
+        self.evictions.store(0, Ordering::Relaxed);
+    }
+
+    /// Drops every row but keeps the counters — the eviction primitive of
+    /// a long-lived shared cache, whose counters are cumulative over all
+    /// requests. A non-empty directory counts one eviction. The rows' memory
+    /// is freed as soon as no running search holds them.
+    pub fn evict_entries(&self) {
+        let retired = std::mem::take(&mut *self.dir());
+        if !retired.rows.is_empty() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        shard.insert(key, v);
+    }
+}
+
+/// The σ rows one search reads and fills, resolved once by
+/// [`SimilarityCache::rows`]: row `i` belongs to `entities()[i]`.
+///
+/// Counts the search's own lookups, so concurrent searches sharing one
+/// cache each report exact `sigma_computed` / `sigma_cached`.
+pub struct MemoRows<'a> {
+    sim: &'a dyn EntitySimilarity,
+    kernel: SigmaKernel,
+    entities: Vec<EntityId>,
+    rows: Vec<Row>,
+    computed: AtomicU64,
+    served: AtomicU64,
+}
+
+impl MemoRows<'_> {
+    /// The query entities, one per row.
+    pub fn entities(&self) -> &[EntityId] {
+        &self.entities
     }
 
-    fn shard(&self, key: (u32, u32, u8)) -> &MemoShard {
-        let h = ((((key.0 as u64) << 32) | key.1 as u64) ^ ((key.2 as u64) << 17))
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h >> 33) as usize % self.shards.len()]
-    }
-
-    /// Looks up `σ(a, b)` under the reference kernel, computing and
-    /// memoizing it through `sim` on a miss.
-    pub fn sim_through(&self, sim: &dyn EntitySimilarity, a: EntityId, b: EntityId) -> f64 {
-        self.sim_through_kernel(sim, SigmaKernel::F64Exact, a, b)
-    }
-
-    /// Looks up `σ(a, b)` under `kernel`, computing and memoizing it
-    /// through `sim` on a miss. The memo entry is keyed by the kernel, so
-    /// values computed under one kernel are invisible to another.
-    pub fn sim_through_kernel(
-        &self,
-        sim: &dyn EntitySimilarity,
-        kernel: SigmaKernel,
-        a: EntityId,
-        b: EntityId,
-    ) -> f64 {
-        let key = (a.0, b.0, kernel.tag());
-        let shard = self.shard(key);
-        if let Some(&v) = shard.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
-            self.served.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        let v = timed_sim(sim, kernel, a, b);
-        self.computed.fetch_add(1, Ordering::Relaxed);
-        self.insert_bounded(key, v);
-        v
-    }
-
-    /// Looks up `σ(a, b)` for every `b` of `bs` under the reference
-    /// kernel; see [`SimilarityCache::sim_batch_through_kernel`].
-    pub fn sim_batch_through(
-        &self,
-        sim: &dyn EntitySimilarity,
-        a: EntityId,
-        bs: &[EntityId],
-        out: &mut [f64],
-    ) {
-        self.sim_batch_through_kernel(sim, SigmaKernel::F64Exact, a, bs, out);
-    }
-
-    /// Looks up `σ(a, b)` for every `b` of `bs` under `kernel`, batching
-    /// the misses through one `sim.sim_batch_kernel` call and memoizing
-    /// them. Hits count as served and misses as computed, exactly as if
-    /// each pair had gone through
-    /// [`SimilarityCache::sim_through_kernel`] — the
-    /// `computed + served == lookups` invariant is preserved.
-    pub fn sim_batch_through_kernel(
-        &self,
-        sim: &dyn EntitySimilarity,
-        kernel: SigmaKernel,
-        a: EntityId,
-        bs: &[EntityId],
-        out: &mut [f64],
-    ) {
+    /// Writes `σ(entities()[i], b)` for every `b` of `bs` into `out`: filled
+    /// cells are read, the rest are evaluated in one batched kernel call
+    /// and filled. An entity beyond the row (not in the graph the row was
+    /// sized for) is evaluated but not memoized.
+    pub fn gather(&self, i: usize, bs: &[EntityId], out: &mut [f64]) {
         debug_assert_eq!(bs.len(), out.len());
-        let tag = kernel.tag();
+        let row = &self.rows[i];
         let mut miss_idx: Vec<u32> = Vec::new();
         let mut miss_bs: Vec<EntityId> = Vec::new();
-        for (i, &b) in bs.iter().enumerate() {
-            let key = (a.0, b.0, tag);
-            match self
-                .shard(key)
-                .read()
-                .unwrap_or_else(|e| e.into_inner())
-                .get(&key)
-            {
-                Some(&v) => out[i] = v,
-                None => {
-                    miss_idx.push(i as u32);
+        for (j, &b) in bs.iter().enumerate() {
+            match row.get(b.0 as usize).map(|c| c.load(Ordering::Relaxed)) {
+                Some(bits) if bits != 0 => out[j] = f64::from_bits(bits - 1),
+                _ => {
+                    miss_idx.push(j as u32);
                     miss_bs.push(b);
                 }
             }
@@ -302,58 +341,36 @@ impl SimilarityCache {
             return;
         }
         let mut miss_out = vec![0.0f64; miss_bs.len()];
-        timed_sim_batch(sim, kernel, a, &miss_bs, &mut miss_out);
+        timed_sim_batch(
+            self.sim,
+            self.kernel,
+            self.entities[i],
+            &miss_bs,
+            &mut miss_out,
+        );
         self.computed
             .fetch_add(miss_bs.len() as u64, Ordering::Relaxed);
-        for ((&i, &b), &v) in miss_idx.iter().zip(&miss_bs).zip(&miss_out) {
-            out[i as usize] = v;
-            self.insert_bounded((a.0, b.0, tag), v);
+        for ((&j, &b), &v) in miss_idx.iter().zip(&miss_bs).zip(&miss_out) {
+            out[j as usize] = v;
+            // The one NaN whose bits are all ones wraps to "unset": it is
+            // recomputed on every lookup instead of being misread.
+            if let Some(cell) = row.get(b.0 as usize) {
+                cell.store(v.to_bits().wrapping_add(1), Ordering::Relaxed);
+            }
         }
     }
 
-    /// Number of memoized pairs.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
+    /// The memoized `σ(entities()[i], b)`, `None` while the cell is unset.
+    pub fn cell(&self, i: usize, b: EntityId) -> Option<f64> {
+        let bits = self.rows[i].get(b.0 as usize)?.load(Ordering::Relaxed);
+        (bits != 0).then(|| f64::from_bits(bits - 1))
     }
 
-    /// Whether nothing is memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Current counters.
+    /// This search's counters so far.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             computed: self.computed.load(Ordering::Relaxed),
             served: self.served.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drops all memoized pairs and resets the counters.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-        self.computed.store(0, Ordering::Relaxed);
-        self.served.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
-    /// Drops all memoized pairs but keeps the hit/miss counters — the
-    /// eviction primitive for a long-lived shared cache, where counters
-    /// are deltas other threads may be mid-way through measuring (a
-    /// counter reset under a concurrent [`CacheStats::since`] would
-    /// underflow). Each non-empty shard wiped counts as one eviction.
-    pub fn evict_entries(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.write().unwrap_or_else(|e| e.into_inner());
-            if !shard.is_empty() {
-                shard.clear();
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
         }
     }
 }
@@ -364,42 +381,42 @@ impl SimilarityCache {
 /// A server shares one of these across every request. Before a request
 /// uses the memo it calls [`SharedSimilarityCache::for_epoch`] with the
 /// epoch of the lake snapshot it pinned; when the epoch has advanced past
-/// the tag (an `add`/`remove`/`relink` committed), the entries are evicted
-/// once and the tag moves forward. Eviction keeps the hit/miss counters
-/// (see [`SimilarityCache::evict_entries`]) so concurrent requests
-/// measuring per-request deltas never underflow.
+/// the tag (an `add`/`remove`/`relink` committed), the rows are evicted
+/// once and the tag moves forward. Eviction keeps the cumulative counters
+/// (see [`SimilarityCache::evict_entries`]).
 ///
 /// The eviction is *conservative*, not load-bearing for correctness: every
 /// σ the engine ships (type Jaccard, predicate Jaccard, embedding cosine)
 /// depends only on the knowledge graph and embedding store — which a lake
 /// mutation never touches — so a request still pinned to an older snapshot
-/// may keep inserting after the wipe and its values remain bit-exact for
+/// may keep filling the rows it holds and its values remain bit-exact for
 /// any epoch. The tag exists so that a deployment whose σ *did* become
-/// lake-dependent degrades to stale-entry eviction instead of silently
-/// serving wrong values, and so memory from retired epochs is reclaimed.
+/// lake-dependent degrades to stale-row eviction instead of silently
+/// serving wrong values, and so the rows of retired epochs are freed: an
+/// evicted row's memory is returned as soon as the last search holding it
+/// finishes.
 pub struct SharedSimilarityCache {
     cache: SimilarityCache,
-    /// The lake epoch the current entries were (first) warmed on.
+    /// The lake epoch the current rows were (first) warmed on.
     epoch: AtomicU64,
     /// Epoch advances that triggered an eviction.
     invalidations: AtomicU64,
 }
 
 impl SharedSimilarityCache {
-    /// Wraps a bounded [`SimilarityCache`] tagged at `epoch`.
-    pub fn new(epoch: u64, shards: usize, capacity: usize) -> Self {
-        let cache = SimilarityCache::with_shards_and_capacity(shards, capacity);
+    /// Wraps a [`SimilarityCache`] of `capacity` cells tagged at `epoch`.
+    pub fn new(epoch: u64, capacity: usize) -> Self {
         Self {
-            cache,
+            cache: SimilarityCache::with_capacity(capacity),
             epoch: AtomicU64::new(epoch),
             invalidations: AtomicU64::new(0),
         }
     }
 
     /// Returns the memo for a request pinned at `epoch`, evicting stale
-    /// entries first when the epoch advanced past the tag. Exactly one
-    /// caller per advance performs the eviction (compare-exchange on the
-    /// tag); requests pinned to *older* epochs never move the tag back.
+    /// rows first when the epoch advanced past the tag. Exactly one caller
+    /// per advance performs the eviction (compare-exchange on the tag);
+    /// requests pinned to *older* epochs never move the tag back.
     pub fn for_epoch(&self, epoch: u64) -> &SimilarityCache {
         let mut seen = self.epoch.load(Ordering::Acquire);
         while epoch > seen {
@@ -418,7 +435,7 @@ impl SharedSimilarityCache {
         &self.cache
     }
 
-    /// The epoch the entries are currently tagged with.
+    /// The epoch the rows are currently tagged with.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
@@ -434,84 +451,11 @@ impl SharedSimilarityCache {
     }
 }
 
-/// An [`EntitySimilarity`] that answers through a [`SimilarityCache`],
-/// drop-in wherever a `&dyn EntitySimilarity` is expected.
-///
-/// The wrapper carries the [`SigmaKernel`] the search selected: every σ
-/// that flows through the plain `sim`/`sim_batch` surface is evaluated
-/// under that kernel and memoized under its tag, so downstream code
-/// (SigmaRows, the Hungarian scorer) stays kernel-oblivious.
-pub struct CachedSimilarity<'a> {
-    inner: &'a dyn EntitySimilarity,
-    cache: &'a SimilarityCache,
-    kernel: SigmaKernel,
-}
-
-impl<'a> CachedSimilarity<'a> {
-    /// Wraps `inner` under the reference kernel.
-    pub fn new(inner: &'a dyn EntitySimilarity, cache: &'a SimilarityCache) -> Self {
-        Self::with_kernel(inner, cache, SigmaKernel::F64Exact)
-    }
-
-    /// Wraps `inner` so σ evaluates under `kernel` and memoizes into
-    /// `cache` with the matching key tag.
-    pub fn with_kernel(
-        inner: &'a dyn EntitySimilarity,
-        cache: &'a SimilarityCache,
-        kernel: SigmaKernel,
-    ) -> Self {
-        Self {
-            inner,
-            cache,
-            kernel,
-        }
-    }
-
-    /// The cache in use.
-    pub fn cache(&self) -> &SimilarityCache {
-        self.cache
-    }
-
-    /// The kernel this wrapper evaluates under.
-    pub fn kernel(&self) -> SigmaKernel {
-        self.kernel
-    }
-}
-
-impl EntitySimilarity for CachedSimilarity<'_> {
-    fn sim(&self, a: EntityId, b: EntityId) -> f64 {
-        self.cache.sim_through_kernel(self.inner, self.kernel, a, b)
-    }
-
-    fn sim_batch(&self, a: EntityId, bs: &[EntityId], out: &mut [f64]) {
-        self.cache
-            .sim_batch_through_kernel(self.inner, self.kernel, a, bs, out);
-    }
-
-    fn sim_kernel(&self, kernel: SigmaKernel, a: EntityId, b: EntityId) -> f64 {
-        self.cache.sim_through_kernel(self.inner, kernel, a, b)
-    }
-
-    fn sim_batch_kernel(&self, kernel: SigmaKernel, a: EntityId, bs: &[EntityId], out: &mut [f64]) {
-        self.cache
-            .sim_batch_through_kernel(self.inner, kernel, a, bs, out);
-    }
-
-    fn slab_bytes(&self) -> usize {
-        self.inner.slab_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
 /// An [`EntitySimilarity`] that counts σ evaluations without memoizing —
-/// the instrumentation counterpart of [`CachedSimilarity`] for the
-/// exhaustive baseline, so memoized and unmemoized searches report
-/// comparable `sigma_computed` numbers. Like [`CachedSimilarity`] it
-/// carries the selected [`SigmaKernel`] and routes the plain surface
-/// through it.
+/// the exhaustive reference path, which evaluates every σ it needs
+/// directly so it stays independent of the memo it validates. It carries
+/// the selected [`SigmaKernel`] and routes the plain `sim`/`sim_batch`
+/// surface through it, so downstream code stays kernel-oblivious.
 pub struct CountingSimilarity<'a> {
     inner: &'a dyn EntitySimilarity,
     computed: AtomicU64,
@@ -587,24 +531,48 @@ mod tests {
         (b.freeze(), es)
     }
 
+    /// The f64 rows of `entities`, one cell per entity of `g`.
+    fn memo<'a>(
+        cache: &SimilarityCache,
+        sim: &'a dyn EntitySimilarity,
+        g: &thetis_kg::KnowledgeGraph,
+        entities: &[EntityId],
+    ) -> MemoRows<'a> {
+        cache.rows(
+            sim,
+            SigmaKernel::F64Exact,
+            entities.to_vec(),
+            g.entity_count(),
+        )
+    }
+
+    /// σ of one pair through row `i`.
+    fn one(rows: &MemoRows<'_>, i: usize, b: EntityId) -> f64 {
+        let mut out = [0.0f64];
+        rows.gather(i, &[b], &mut out);
+        out[0]
+    }
+
     #[test]
     fn second_lookup_is_served_from_the_memo() {
         let (g, es) = graph();
         let sim = TypeJaccard::new(&g);
         let cache = SimilarityCache::new();
-        let cached = CachedSimilarity::new(&sim, &cache);
-        let first = cached.sim(es[0], es[1]);
-        let second = cached.sim(es[0], es[1]);
-        assert_eq!(first, second);
+        let rows = memo(&cache, &sim, &g, &es[..1]);
+        assert_eq!(rows.cell(0, es[1]), None);
+        let first = one(&rows, 0, es[1]);
+        let second = one(&rows, 0, es[1]);
+        assert_eq!(first.to_bits(), second.to_bits());
+        assert_eq!(rows.cell(0, es[1]).map(f64::to_bits), Some(first.to_bits()));
         assert_eq!(
-            cache.stats(),
+            rows.stats(),
             CacheStats {
                 computed: 1,
                 served: 1
             }
         );
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cached.name(), "types");
+        // One row of one cell per graph entity.
+        assert_eq!(cache.len(), g.entity_count());
     }
 
     #[test]
@@ -612,64 +580,69 @@ mod tests {
         let (g, es) = graph();
         let sim = TypeJaccard::new(&g);
         let cache = SimilarityCache::new();
-        let cached = CachedSimilarity::new(&sim, &cache);
-        cached.sim(es[0], es[1]);
-        cached.sim(es[1], es[0]);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().computed, 2);
+        let rows = memo(&cache, &sim, &g, &es[..2]);
+        one(&rows, 0, es[1]);
+        one(&rows, 1, es[0]);
+        assert_eq!(cache.len(), 2 * g.entity_count());
+        assert_eq!(rows.stats().computed, 2);
+        assert!(rows.cell(0, es[1]).is_some() && rows.cell(1, es[0]).is_some());
+        assert_eq!(rows.cell(0, es[0]), None);
     }
 
     #[test]
     fn counters_sum_to_lookups() {
         let (g, es) = graph();
         let sim = TypeJaccard::new(&g);
-        let cache = SimilarityCache::with_shards(3);
-        let cached = CachedSimilarity::new(&sim, &cache);
+        let cache = SimilarityCache::new();
+        let rows = memo(&cache, &sim, &g, &es);
         let mut lookups = 0u64;
         for _ in 0..3 {
-            for &a in &es {
+            for i in 0..es.len() {
                 for &b in &es {
-                    cached.sim(a, b);
+                    one(&rows, i, b);
                     lookups += 1;
                 }
             }
         }
-        let stats = cache.stats();
+        let stats = rows.stats();
         assert_eq!(stats.lookups(), lookups);
         assert_eq!(stats.computed, 16);
         assert!(stats.hit_rate() > 0.6);
+        // The cache's totals move only when a search is recorded.
+        assert_eq!(cache.stats(), CacheStats::default());
+        cache.record(stats);
+        assert_eq!(cache.stats(), stats);
     }
 
     #[test]
     fn batch_lookups_keep_the_counter_invariant() {
         let (g, es) = graph();
         let sim = TypeJaccard::new(&g);
-        let cache = SimilarityCache::with_shards(4);
-        let cached = CachedSimilarity::new(&sim, &cache);
+        let cache = SimilarityCache::new();
+        let rows = memo(&cache, &sim, &g, &es[..1]);
         let mut out = vec![0.0f64; es.len()];
         // First batch: all misses, computed in one kernel call.
-        cached.sim_batch(es[0], &es, &mut out);
+        rows.gather(0, &es, &mut out);
         assert_eq!(
-            cache.stats(),
+            rows.stats(),
             CacheStats {
                 computed: 4,
                 served: 0
             }
         );
         // Second batch: all hits.
-        cached.sim_batch(es[0], &es, &mut out);
+        rows.gather(0, &es, &mut out);
         assert_eq!(
-            cache.stats(),
+            rows.stats(),
             CacheStats {
                 computed: 4,
                 served: 4
             }
         );
-        // Mixed batch: one new entity among three memoized pairs.
+        // A reordered batch is served in its own order.
         let mixed = vec![es[1], es[2], es[3], es[0]];
-        cached.sim_batch(es[0], &mixed, &mut out[..4]);
-        let stats = cache.stats();
-        assert_eq!(stats.lookups(), 12);
+        rows.gather(0, &mixed, &mut out);
+        assert_eq!(rows.stats().lookups(), 12);
         // Batched values match the scalar path bit-for-bit.
         for (&b, &v) in mixed.iter().zip(&out) {
             assert_eq!(v.to_bits(), sim.sim(es[0], b).to_bits());
@@ -692,11 +665,13 @@ mod tests {
         let (g, es) = graph();
         let sim = TypeJaccard::new(&g);
         let cache = SimilarityCache::new();
-        let cached = CachedSimilarity::new(&sim, &cache);
-        cached.sim(es[0], es[1]);
+        let rows = memo(&cache, &sim, &g, &es[..1]);
+        one(&rows, 0, es[1]);
+        cache.record(rows.stats());
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
+        assert_eq!(cache.evictions(), 0);
     }
 
     #[test]
@@ -707,66 +682,74 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    let cached = CachedSimilarity::new(&sim, &cache);
+                    let rows = memo(&cache, &sim, &g, &es);
                     for _ in 0..50 {
-                        for &a in &es {
+                        for i in 0..es.len() {
                             for &b in &es {
-                                cached.sim(a, b);
+                                one(&rows, i, b);
                             }
                         }
                     }
+                    cache.record(rows.stats());
                 });
             }
         });
         let stats = cache.stats();
         assert_eq!(stats.lookups(), 4 * 50 * 16);
-        // At most one duplicated compute per pair per racing thread.
+        // At most one duplicated compute per cell per racing thread.
         assert!(stats.computed >= 16 && stats.computed <= 64, "{stats:?}");
+        // Every searcher shared the same four rows.
+        assert_eq!(cache.len(), 4 * g.entity_count());
     }
 
     #[test]
     fn capacity_bound_evicts_instead_of_growing() {
         let (g, es) = graph();
         let sim = TypeJaccard::new(&g);
-        // One shard, room for two entries: the third insert wipes it.
-        let cache = SimilarityCache::with_shards_and_capacity(1, 2);
-        assert_eq!(cache.capacity(), 2);
-        let cached = CachedSimilarity::new(&sim, &cache);
-        cached.sim(es[0], es[1]);
-        cached.sim(es[0], es[2]);
-        assert_eq!(cache.len(), 2);
+        let n = g.entity_count();
+        // Room for two rows: the third wipes the directory.
+        let cache = SimilarityCache::with_capacity(2 * n);
+        assert_eq!(cache.capacity(), 2 * n);
+        let first = memo(&cache, &sim, &g, &es[..2]);
+        one(&first, 0, es[2]);
+        assert_eq!(cache.len(), 2 * n);
         assert_eq!(cache.evictions(), 0);
-        cached.sim(es[0], es[3]);
-        assert_eq!(cache.len(), 1, "shard wiped before the overflow insert");
+        let second = memo(&cache, &sim, &g, &es[2..3]);
+        assert_eq!(cache.len(), n, "directory dropped before the overflow row");
         assert_eq!(cache.evictions(), 1);
-        // Counters survive eviction: 3 computes, 0 hits so far.
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                computed: 3,
-                served: 0
-            }
-        );
-        // Re-inserting an existing key at capacity does not evict.
-        cached.sim(es[0], es[3]);
+        // The evicted rows still serve the search that holds them.
+        assert!(first.cell(0, es[2]).is_some());
+        one(&first, 0, es[2]);
+        assert_eq!(first.stats().served, 1);
+        // Resolving a resident row again does not evict.
+        drop(second);
+        memo(&cache, &sim, &g, &es[2..3]);
         assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.stats().served, 1);
     }
 
     #[test]
     fn batched_inserts_respect_the_capacity_bound() {
         let (g, es) = graph();
         let sim = TypeJaccard::new(&g);
-        let cache = SimilarityCache::with_shards_and_capacity(1, 2);
-        let cached = CachedSimilarity::new(&sim, &cache);
+        let n = g.entity_count();
+        // Room for one row: resolving four evicts three times, but the
+        // search still holds all four rows.
+        let cache = SimilarityCache::with_capacity(n);
+        let rows = memo(&cache, &sim, &g, &es);
+        assert_eq!(cache.len(), n);
+        assert_eq!(cache.evictions(), 3);
         let mut out = vec![0.0f64; es.len()];
-        cached.sim_batch(es[0], &es, &mut out);
-        assert!(cache.len() <= 2);
-        assert!(cache.evictions() > 0);
-        // Values are still bit-identical to the unbounded path.
-        for (&b, &v) in es.iter().zip(&out) {
-            assert_eq!(v.to_bits(), sim.sim(es[0], b).to_bits());
+        for (i, &a) in es.iter().enumerate() {
+            rows.gather(i, &es, &mut out);
+            rows.gather(i, &es, &mut out);
+            // Values are still bit-identical to the unbounded path.
+            for (&b, &v) in es.iter().zip(&out) {
+                assert_eq!(v.to_bits(), sim.sim(a, b).to_bits());
+            }
         }
+        // No pair was computed twice.
+        assert_eq!(rows.stats().computed, 16);
+        assert_eq!(rows.stats().served, 16);
     }
 
     #[test]
@@ -774,33 +757,57 @@ mod tests {
         let (g, es) = graph();
         let sim = TypeJaccard::new(&g);
         let cache = SimilarityCache::new();
-        let cached = CachedSimilarity::new(&sim, &cache);
-        cached.sim(es[0], es[1]);
-        cached.sim(es[0], es[1]);
+        let rows = memo(&cache, &sim, &g, &es[..1]);
+        one(&rows, 0, es[1]);
+        one(&rows, 0, es[1]);
+        cache.record(rows.stats());
         let before = cache.stats();
         cache.evict_entries();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), before, "eviction never touches counters");
         assert_eq!(cache.evictions(), 1);
-        // The pair recomputes on next use.
-        cached.sim(es[0], es[1]);
-        assert_eq!(cache.stats().computed, before.computed + 1);
+        // An empty directory evicts nothing.
+        cache.evict_entries();
+        assert_eq!(cache.evictions(), 1);
+        // The pair recomputes in the next search's fresh row.
+        let next = memo(&cache, &sim, &g, &es[..1]);
+        one(&next, 0, es[1]);
+        assert_eq!(next.stats().computed, 1);
+    }
+
+    #[test]
+    fn evicted_rows_are_freed_with_their_last_search() {
+        let (g, es) = graph();
+        let sim = TypeJaccard::new(&g);
+        let cache = SimilarityCache::new();
+        let rows = memo(&cache, &sim, &g, &es[..2]);
+        let held: Vec<_> = rows.rows.iter().map(Arc::downgrade).collect();
+        cache.evict_entries();
+        assert!(cache.is_empty());
+        // The running search keeps its rows…
+        assert!(held.iter().all(|w| w.upgrade().is_some()));
+        one(&rows, 0, es[1]);
+        // …and its end frees them.
+        drop(rows);
+        assert!(held.iter().all(|w| w.upgrade().is_none()));
     }
 
     #[test]
     fn shared_cache_invalidates_once_per_epoch_advance() {
         let (g, es) = graph();
         let sim = TypeJaccard::new(&g);
-        let shared = SharedSimilarityCache::new(3, 4, 0);
+        let n = g.entity_count();
+        let shared = SharedSimilarityCache::new(3, 0);
         assert_eq!(shared.epoch(), 3);
-        let warm = shared.for_epoch(3);
-        CachedSimilarity::new(&sim, warm).sim(es[0], es[1]);
-        assert_eq!(shared.cache().len(), 1);
+        let rows = memo(shared.for_epoch(3), &sim, &g, &es[..1]);
+        one(&rows, 0, es[1]);
+        shared.cache().record(rows.stats());
+        assert_eq!(shared.cache().len(), n);
         // A request pinned to an older snapshot neither evicts nor
         // rewinds the tag.
         shared.for_epoch(2);
         assert_eq!(shared.epoch(), 3);
-        assert_eq!(shared.cache().len(), 1);
+        assert_eq!(shared.cache().len(), n);
         assert_eq!(shared.invalidations(), 0);
         // The epoch advancing evicts exactly once…
         shared.for_epoch(5);
@@ -816,7 +823,7 @@ mod tests {
 
     #[test]
     fn shared_cache_concurrent_epoch_advance_evicts_once() {
-        let shared = SharedSimilarityCache::new(0, 8, 0);
+        let shared = SharedSimilarityCache::new(0, 0);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
@@ -844,20 +851,18 @@ mod tests {
             }
         }
         let sim = EmbeddingCosine::new(&store);
-        let cache = SimilarityCache::with_shards(2);
-        let f64_view = CachedSimilarity::new(&sim, &cache);
-        let f32_view = CachedSimilarity::with_kernel(&sim, &cache, SigmaKernel::F32);
-        assert_eq!(f32_view.kernel(), SigmaKernel::F32);
+        let cache = SimilarityCache::new();
         let (a, b) = (EntityId(0), EntityId(1));
-        let exact = f64_view.sim(a, b);
-        let quant = f32_view.sim(a, b);
-        // Same pair, two kernels: two distinct memo entries, two computes.
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().computed, 2);
-        // Each view serves its own kernel's value back.
-        assert_eq!(f64_view.sim(a, b).to_bits(), exact.to_bits());
-        assert_eq!(f32_view.sim(a, b).to_bits(), quant.to_bits());
-        assert_eq!(cache.stats().served, 2);
+        let f64_rows = cache.rows(&sim, SigmaKernel::F64Exact, vec![a], 3);
+        let f32_rows = cache.rows(&sim, SigmaKernel::F32, vec![a], 3);
+        let exact = one(&f64_rows, 0, b);
+        let quant = one(&f32_rows, 0, b);
+        // Same pair, two kernels: two distinct rows, two computes.
+        assert_eq!(cache.len(), 6);
+        assert_eq!(f64_rows.stats().computed + f32_rows.stats().computed, 2);
+        // Each kernel's rows serve its own value back.
+        assert_eq!(one(&f64_rows, 0, b).to_bits(), exact.to_bits());
+        assert_eq!(one(&f32_rows, 0, b).to_bits(), quant.to_bits());
         assert_eq!(exact.to_bits(), sim.sim(a, b).to_bits());
         assert_eq!(
             quant.to_bits(),
@@ -865,31 +870,79 @@ mod tests {
         );
     }
 
+    /// A similarity whose σ to entity `b` is `SIGNED[b]`.
+    struct Signed;
+    const SIGNED: [f64; 5] = [0.0, -0.0, -0.75, 1.0, f64::from_bits(u64::MAX)];
+
+    impl EntitySimilarity for Signed {
+        fn sim(&self, _: EntityId, b: EntityId) -> f64 {
+            SIGNED[b.0 as usize]
+        }
+
+        fn name(&self) -> &'static str {
+            "signed"
+        }
+    }
+
     #[test]
-    fn poisoned_shard_is_recovered_not_propagated() {
+    fn zero_and_negative_sigma_survive_the_encoding() {
+        let cache = SimilarityCache::new();
+        let rows = cache.rows(&Signed, SigmaKernel::F64Exact, vec![EntityId(0)], 5);
+        let bs: Vec<EntityId> = (0..5).map(EntityId).collect();
+        let mut out = [0.0f64; 5];
+        rows.gather(0, &bs, &mut out);
+        rows.gather(0, &bs, &mut out);
+        for (&b, &v) in bs.iter().zip(&out) {
+            assert_eq!(v.to_bits(), SIGNED[b.0 as usize].to_bits());
+        }
+        for &b in &bs[..4] {
+            let cell = rows.cell(0, b).expect("filled");
+            assert_eq!(cell.to_bits(), SIGNED[b.0 as usize].to_bits());
+        }
+        // The all-ones NaN is the one value that cannot be stored: it reads
+        // as unset and is recomputed rather than misread.
+        assert_eq!(rows.cell(0, bs[4]), None);
+        assert_eq!(
+            rows.stats(),
+            CacheStats {
+                computed: 6,
+                served: 4
+            }
+        );
+        // An entity beyond the row is evaluated, never stored.
+        let mut far = [0.0f64];
+        let short = cache.rows(&Signed, SigmaKernel::F32, vec![EntityId(0)], 2);
+        short.gather(0, &bs[2..3], &mut far);
+        assert_eq!(far[0], -0.75);
+        assert_eq!(short.cell(0, bs[2]), None);
+    }
+
+    #[test]
+    fn poisoned_directory_is_recovered_not_propagated() {
         let (g, es) = graph();
         let sim = TypeJaccard::new(&g);
-        let cache = SimilarityCache::with_shards(1);
-        let cached = CachedSimilarity::new(&sim, &cache);
-        let expect = cached.sim(es[0], es[1]);
+        let cache = SimilarityCache::new();
+        let rows = memo(&cache, &sim, &g, &es[..1]);
+        let expect = one(&rows, 0, es[1]);
 
-        // Poison the single shard: panic while holding its write lock.
-        let shard = &cache.shards[0];
+        // Poison the directory: panic while holding its lock.
         let join = std::thread::scope(|scope| {
             scope
                 .spawn(|| {
-                    let _guard = shard.write().unwrap();
-                    panic!("poison the shard on purpose");
+                    let _guard = cache.dir.lock().unwrap();
+                    panic!("poison the directory on purpose");
                 })
                 .join()
         });
         assert!(join.is_err());
-        assert!(shard.is_poisoned());
+        assert!(cache.dir.is_poisoned());
 
         // Every access path still works and the memo survived intact.
-        assert_eq!(cached.sim(es[0], es[1]), expect);
-        assert_eq!(cached.sim(es[2], es[3]), sim.sim(es[2], es[3]));
-        assert_eq!(cache.len(), 2);
+        let again = memo(&cache, &sim, &g, &es[..1]);
+        assert_eq!(again.cell(0, es[1]), Some(expect));
+        let other = memo(&cache, &sim, &g, &es[2..3]);
+        assert_eq!(one(&other, 0, es[3]), sim.sim(es[2], es[3]));
+        assert_eq!(cache.len(), 2 * g.entity_count());
         cache.clear();
         assert!(cache.is_empty());
     }

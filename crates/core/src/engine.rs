@@ -10,11 +10,12 @@ use thetis_kg::KnowledgeGraph;
 use thetis_lsh::lsei::{EntitySigner, Lsei, PrefilterResult};
 use thetis_obs::QueryTrace;
 
-use crate::cache::{CachedSimilarity, CountingSimilarity, SimilarityCache};
+use crate::cache::{CountingSimilarity, SimilarityCache};
 use crate::informativeness::Informativeness;
 use crate::query::Query;
 use crate::search::{score_candidates, score_candidates_pruned, Schedule, ScoreTimings};
 use crate::semrel::RowAgg;
+use crate::sigma::SigmaSource;
 use crate::similarity::{EntitySimilarity, SigmaKernel};
 use crate::topk::TopK;
 
@@ -49,8 +50,9 @@ pub struct SearchOptions {
     /// Worker threads for table scoring (0 = all available cores).
     pub threads: usize,
     /// Memoize `σ(query entity, lake entity)` in a query-scoped
-    /// [`SimilarityCache`] shared across all candidate tables, so each pair
-    /// is evaluated at most once per search.
+    /// [`SimilarityCache`] — one dense row per query entity — shared
+    /// across all candidate tables, so each pair is evaluated at most once
+    /// per search.
     pub memoize: bool,
     /// Skip the Hungarian mapping and row aggregation for tables whose
     /// relevance upper bound cannot beat the running top-`k` floor. The
@@ -74,9 +76,9 @@ pub struct SearchOptions {
     /// Which σ arithmetic the search runs (§16). The default,
     /// [`SigmaKernel::F64Exact`], is bit-identical to every release before
     /// quantization; `F32`/`I8` select the quantized slabs for bounded
-    /// numeric drift in exchange for vectorized throughput. Memoized σ
-    /// values are keyed by the kernel, so mixed-kernel callers sharing a
-    /// cache never cross-contaminate.
+    /// numeric drift in exchange for vectorized throughput. Memo rows
+    /// are keyed by the kernel, so mixed-kernel callers sharing a cache
+    /// never cross-contaminate.
     pub kernel: SigmaKernel,
 }
 
@@ -438,12 +440,14 @@ impl<'a, S: EntitySimilarity> ThetisEngine<'a, S> {
     /// request path of a resident service, where one
     /// [`SharedSimilarityCache`](crate::cache::SharedSimilarityCache)
     /// (already resolved to its inner [`SimilarityCache`] via `for_epoch`)
-    /// is shared across every concurrent query. Per-request [`SearchStats`]
-    /// σ counters are deltas over the cache's counters, so a repeat query
-    /// against a warm cache computes no σ at all
+    /// is shared across every concurrent query. The search resolves its
+    /// σ rows from the memo once, up front, and counts its own lookups, so
+    /// per-request [`SearchStats`] σ counters are exact under concurrency
+    /// and a repeat query against a warm cache computes no σ at all
     /// ([`SearchStats::sigma_hit_rate`] of 1.0). The caller must clear or
     /// replace the cache when the underlying similarity changes. `None`
-    /// uses a query-scoped memo when [`SearchOptions::memoize`] is set.
+    /// uses a query-scoped memo when [`SearchOptions::memoize`] is set;
+    /// without either, σ is evaluated directly on every lookup.
     ///
     /// An active `trace` receives the full per-query event stream (LSEI
     /// band matches and votes when the candidates came from
@@ -498,9 +502,22 @@ impl<'a, S: EntitySimilarity> ThetisEngine<'a, S> {
             thetis_obs::trace_attrs![("epoch", lake_epoch)]
         });
         // A query-scoped memo, unless the caller brought a longer-lived one.
+        // Its rows for this query are resolved here, once per search.
         let owned = (memo.is_none() && options.memoize).then(SimilarityCache::new);
         let cache = memo.or(owned.as_ref());
-        let before = cache.map(|c| c.stats());
+        let rows = cache.map(|c| {
+            c.rows(
+                &self.sim,
+                options.kernel,
+                query.distinct_entities(),
+                self.graph.entity_count(),
+            )
+        });
+        let counting = CountingSimilarity::with_kernel(&self.sim, options.kernel);
+        let sigma = match &rows {
+            Some(rows) => SigmaSource::Memo(rows),
+            None => SigmaSource::Direct(&counting),
+        };
 
         let sched = options.schedule();
         // The budget covers the scoring pass; prefilter time already spent
@@ -508,52 +525,41 @@ impl<'a, S: EntitySimilarity> ThetisEngine<'a, S> {
         let deadline_at = options.deadline.map(|d| start + d);
         // `I(e)` of every query entity in the lake this search reads.
         let weights = self.inform.query_weights(self.lake, query);
-        let run = |sim: &(dyn EntitySimilarity + Sync)| {
-            if options.prune {
-                score_candidates_pruned(
-                    query,
-                    self.lake,
-                    candidates,
-                    sim,
-                    &weights,
-                    options.agg,
-                    sched,
-                    options.k,
-                    deadline_at,
-                    trace,
-                )
-            } else {
-                score_candidates(
-                    query,
-                    self.lake,
-                    candidates,
-                    sim,
-                    &weights,
-                    options.agg,
-                    sched,
-                    deadline_at,
-                    trace,
-                )
-            }
+        let (scored, mut timings) = if options.prune {
+            score_candidates_pruned(
+                query,
+                self.lake,
+                candidates,
+                sigma,
+                &weights,
+                options.agg,
+                sched,
+                options.k,
+                deadline_at,
+                trace,
+            )
+        } else {
+            score_candidates(
+                query,
+                self.lake,
+                candidates,
+                sigma,
+                &weights,
+                options.agg,
+                sched,
+                deadline_at,
+                trace,
+            )
         };
-
-        let (scored, mut timings) = match cache {
-            Some(c) => run(&CachedSimilarity::with_kernel(&self.sim, c, options.kernel)),
-            None => {
-                let counting = CountingSimilarity::with_kernel(&self.sim, options.kernel);
-                let out = run(&counting);
-                (out.0, {
-                    let mut t = out.1;
-                    t.sigma_computed = counting.computed();
-                    t
-                })
+        match (cache, &rows) {
+            (Some(cache), Some(rows)) => {
+                let counts = rows.stats();
+                cache.record(counts);
+                timings.sigma_computed = counts.computed;
+                timings.sigma_cached = counts.served;
+                counts.record_trace_summary(trace);
             }
-        };
-        if let (Some(c), Some(before)) = (cache, before) {
-            let delta = c.stats().since(before);
-            timings.sigma_computed = delta.computed;
-            timings.sigma_cached = delta.served;
-            delta.record_trace_summary(trace);
+            _ => timings.sigma_computed = counting.computed(),
         }
 
         let tables_unscored = timings.tables_unscored + timings.tables_panicked;
@@ -880,7 +886,7 @@ mod tests {
             prune: false,
             ..SearchOptions::top(4)
         };
-        let shared = crate::cache::SharedSimilarityCache::new(lake.epoch(), 8, 0);
+        let shared = crate::cache::SharedSimilarityCache::new(lake.epoch(), 0);
         let off = QueryTrace::disabled();
 
         let cache = shared.for_epoch(lake.epoch());

@@ -145,8 +145,14 @@ pub fn explain(
     } else {
         tuples.iter().map(|t| t.score).sum::<f64>() / tuples.len() as f64
     };
-    let upper_bound =
-        crate::search::upper_bound_score(query, lake, table_id, sim, &weights).unwrap_or(0.0);
+    let upper_bound = crate::search::upper_bound_score(
+        query,
+        lake,
+        table_id,
+        crate::sigma::SigmaSource::Direct(sim),
+        &weights,
+    )
+    .unwrap_or(0.0);
     Explanation {
         table: table_id,
         tuples,
@@ -249,7 +255,7 @@ mod tests {
                 &q,
                 &lake,
                 TableId(0),
-                &sim,
+                crate::sigma::SigmaSource::Direct(&sim),
                 &weights,
                 RowAgg::Max,
                 &mut t,

@@ -45,9 +45,7 @@ pub mod sigma;
 pub mod similarity;
 pub mod topk;
 
-pub use cache::{
-    CacheStats, CachedSimilarity, CountingSimilarity, SharedSimilarityCache, SimilarityCache,
-};
+pub use cache::{CacheStats, CountingSimilarity, MemoRows, SharedSimilarityCache, SimilarityCache};
 pub use engine::{
     Candidates, DegradedReasons, SearchOptions, SearchResult, SearchStats, ThetisEngine,
 };
@@ -57,7 +55,7 @@ pub use query::{EntityTuple, Query};
 pub use relaxation::{search_with_relaxation, RelaxationConfig, RelaxedSearch};
 pub use search::{Schedule, ScoreTimings};
 pub use semrel::RowAgg;
-pub use sigma::SigmaRows;
+pub use sigma::{SigmaRows, SigmaSource};
 pub use similarity::{
     EmbeddingCosine, EntitySimilarity, NeighborhoodJaccard, PredicateJaccard, SigmaKernel,
     TypeJaccard,

@@ -184,7 +184,11 @@ mod tests {
         let digest = thetis_datalake::TableDigest::build(&table).unwrap();
         let tuple = vec![teams[1], players[2]];
         let query = crate::query::Query::single(tuple.clone());
-        let sigma = crate::sigma::SigmaRows::build(&query, &digest, &sim);
+        let sigma = crate::sigma::SigmaRows::build(
+            &query,
+            &digest,
+            crate::sigma::SigmaSource::Direct(&sim),
+        );
 
         let raw = score_matrix(&tuple, &table, &sim);
         let fast = score_matrix_digest(&tuple, &digest, &sigma);

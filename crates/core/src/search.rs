@@ -1,10 +1,11 @@
 //! Algorithm 1: scoring candidate tables, optionally in parallel.
 //!
 //! Scoring runs off the lake's precomputed [`TableDigest`]s: per table, one
-//! batched σ kernel per distinct query entity fills a [`SigmaRows`]
+//! batched σ lookup per distinct query entity fills a [`SigmaRows`]
 //! lattice, and the Hungarian matrix, row aggregation and pruning upper
-//! bound all read from it — the σ cache is consulted once per (query
-//! entity, distinct entity) pair instead of once per cell, and the ranking
+//! bound all read from it — σ (or the search's memo rows, see
+//! [`SigmaSource`]) is consulted once per (query entity, distinct entity)
+//! pair instead of once per cell, and the ranking
 //! stays bit-identical to the raw row walk (see
 //! [`crate::mapping::score_matrix_digest`] and
 //! [`crate::semrel::tuple_table_score_digest`] for why).
@@ -27,8 +28,7 @@ use thetis_datalake::{DataLake, TableDigest, TableId};
 
 use crate::query::Query;
 use crate::semrel::RowAgg;
-use crate::sigma::SigmaRows;
-use crate::similarity::EntitySimilarity;
+use crate::sigma::{SigmaRows, SigmaSource};
 use crate::topk::TopK;
 
 /// Work-stealing blocks claimed across all scoring passes.
@@ -62,9 +62,9 @@ pub struct ScoreTimings {
     /// Tables skipped because their relevance upper bound could not beat
     /// the running top-k floor.
     pub tables_pruned: usize,
-    /// σ evaluations actually performed (cache misses when memoizing;
-    /// every evaluation otherwise). Filled in by the engine from the
-    /// query-scoped [`SimilarityCache`](crate::cache::SimilarityCache).
+    /// σ evaluations actually performed (memo cells filled when
+    /// memoizing; every evaluation otherwise). Filled in by the engine
+    /// from the search's [`MemoRows`](crate::cache::MemoRows).
     pub sigma_computed: u64,
     /// σ lookups served from the query-scoped memo (always 0 when
     /// memoization is disabled).
@@ -328,7 +328,7 @@ fn score_table_isolated(
     query: &Query,
     lake: &DataLake,
     table_id: TableId,
-    sim: &dyn EntitySimilarity,
+    sigma: SigmaSource<'_>,
     weights: &[Vec<f64>],
     agg: RowAgg,
     timings: &mut ScoreTimings,
@@ -337,7 +337,9 @@ fn score_table_isolated(
 ) -> Option<f64> {
     let mut local = ScoreTimings::default();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        score_table(query, lake, table_id, sim, weights, agg, &mut local, trace)
+        score_table(
+            query, lake, table_id, sigma, weights, agg, &mut local, trace,
+        )
     }));
     match outcome {
         Ok(score) => {
@@ -404,7 +406,7 @@ pub fn score_table(
     query: &Query,
     lake: &DataLake,
     table_id: TableId,
-    sim: &dyn EntitySimilarity,
+    sigma: SigmaSource<'_>,
     weights: &[Vec<f64>],
     agg: RowAgg,
     timings: &mut ScoreTimings,
@@ -416,7 +418,7 @@ pub fn score_table(
     let mut slot = None;
     let digest = resolve_digest(lake, table_id, &mut slot)?;
     Some(score_digest(
-        query, table_id, digest, sim, weights, agg, timings, trace,
+        query, table_id, digest, sigma, weights, agg, timings, trace,
     ))
 }
 
@@ -426,7 +428,7 @@ fn score_digest(
     query: &Query,
     table_id: TableId,
     digest: &TableDigest,
-    sim: &dyn EntitySimilarity,
+    sigma: SigmaSource<'_>,
     weights: &[Vec<f64>],
     agg: RowAgg,
     timings: &mut ScoreTimings,
@@ -434,7 +436,7 @@ fn score_digest(
 ) -> f64 {
     debug_assert_eq!(weights.len(), query.len());
     let start = Instant::now();
-    let sigma = SigmaRows::build(query, digest, sim);
+    let sigma = SigmaRows::build(query, digest, sigma);
     let mut sum = 0.0;
     for ((ti, tuple), w) in query.tuples.iter().enumerate().zip(weights) {
         let map_start = Instant::now();
@@ -522,10 +524,10 @@ fn render_f64_list(xs: &[f64]) -> String {
 /// (read straight from the digest's σ rows). Any real mapping aggregates σ
 /// values drawn from that same entity pool, so `x_i ≤ x̄_i` under both
 /// [`RowAgg::Max`] and [`RowAgg::Avg`], and Eq. 2–3 are monotone in each
-/// `x_i` — hence `score ≤ bound`. When `sim` memoizes (see
-/// [`CachedSimilarity`](crate::cache::CachedSimilarity)) the σ batch
-/// computed here pre-seeds the cache for the full scoring pass, so an
-/// unpruned table pays for the bound almost nothing.
+/// `x_i` — hence `score ≤ bound`. When `sigma` is a search's memo rows
+/// ([`SigmaSource::Memo`]) the σ values gathered here fill the rows for
+/// the full scoring pass, so an unpruned table pays for the bound almost
+/// nothing.
 ///
 /// `weights` are the query's, as for [`score_table`]. Returns `None`
 /// exactly when [`score_table`] would (no entity links or an empty query).
@@ -533,7 +535,7 @@ pub fn upper_bound_score(
     query: &Query,
     lake: &DataLake,
     table_id: TableId,
-    sim: &dyn EntitySimilarity,
+    sigma: SigmaSource<'_>,
     weights: &[Vec<f64>],
 ) -> Option<f64> {
     if query.is_empty() {
@@ -541,7 +543,7 @@ pub fn upper_bound_score(
     }
     let mut slot = None;
     let digest = resolve_digest(lake, table_id, &mut slot)?;
-    let sigma = SigmaRows::build(query, digest, sim);
+    let sigma = SigmaRows::build(query, digest, sigma);
     let best: Vec<(thetis_kg::EntityId, f64)> = sigma
         .entities()
         .iter()
@@ -574,7 +576,7 @@ pub fn score_candidates(
     query: &Query,
     lake: &DataLake,
     candidates: &[TableId],
-    sim: &(dyn EntitySimilarity + Sync),
+    sigma: SigmaSource<'_>,
     weights: &[Vec<f64>],
     agg: RowAgg,
     sched: Schedule,
@@ -594,7 +596,7 @@ pub fn score_candidates(
             let mut done = 0u64;
             for &tid in &candidates[range] {
                 if let Some(s) = score_table_isolated(
-                    query, lake, tid, sim, weights, agg, &mut acc.1, trace, wid,
+                    query, lake, tid, sigma, weights, agg, &mut acc.1, trace, wid,
                 ) {
                     acc.0.push((tid, s));
                 }
@@ -623,8 +625,9 @@ pub fn score_candidates(
 /// survivors (at most `k · (workers + 1)` pairs).
 ///
 /// The pass runs in four phases: (1) upper bounds for every candidate,
-/// work-stolen across workers (the batched σ values land in the memo and
-/// are reused by the scoring phase); (2) candidates sort by descending
+/// work-stolen across workers (with a [`SigmaSource::Memo`] the gathered
+/// σ values fill the search's memo rows and the scoring phase reads them
+/// back); (2) candidates sort by descending
 /// bound — ties by ascending id — so the strongest tables are scored first
 /// and the floor tightens as early as possible; (3) the `k` highest-bound
 /// candidates are scored outright, seeding the floor at the best possible
@@ -656,7 +659,7 @@ pub fn score_candidates_pruned(
     query: &Query,
     lake: &DataLake,
     candidates: &[TableId],
-    sim: &(dyn EntitySimilarity + Sync),
+    sigma: SigmaSource<'_>,
     weights: &[Vec<f64>],
     agg: RowAgg,
     sched: Schedule,
@@ -683,7 +686,7 @@ pub fn score_candidates_pruned(
             for &tid in &candidates[range] {
                 let start = Instant::now();
                 let bound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    upper_bound_score(query, lake, tid, sim, weights)
+                    upper_bound_score(query, lake, tid, sigma, weights)
                 }));
                 acc.1.scoring_nanos += start.elapsed().as_nanos() as u64;
                 match bound {
@@ -757,9 +760,17 @@ pub fn score_candidates_pruned(
             }
         }
         seeds_visited += 1;
-        if let Some(s) =
-            score_table_isolated(query, lake, tid, sim, weights, agg, &mut timings, trace, 0)
-        {
+        if let Some(s) = score_table_isolated(
+            query,
+            lake,
+            tid,
+            sigma,
+            weights,
+            agg,
+            &mut timings,
+            trace,
+            0,
+        ) {
             seed_top.push(tid, s);
         }
     }
@@ -793,7 +804,7 @@ pub fn score_candidates_pruned(
                     continue;
                 }
                 if let Some(s) = score_table_isolated(
-                    query, lake, tid, sim, weights, agg, &mut acc.1, trace, wid,
+                    query, lake, tid, sigma, weights, agg, &mut acc.1, trace, wid,
                 ) {
                     acc.0.push(tid, s);
                     raise_floor(&acc.0, wid);
@@ -862,12 +873,13 @@ mod tests {
     fn exact_match_table_ranks_highest() {
         let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
-        let sim = TypeJaccard::new(&g);
+        let types = TypeJaccard::new(&g);
+        let sim = SigmaSource::Direct(&types);
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let mut t = ScoreTimings::default();
-        let s0 = score_table(&q, &lake, TableId(0), &sim, &w, RowAgg::Max, &mut t, &off).unwrap();
-        let s1 = score_table(&q, &lake, TableId(1), &sim, &w, RowAgg::Max, &mut t, &off).unwrap();
+        let s0 = score_table(&q, &lake, TableId(0), sim, &w, RowAgg::Max, &mut t, &off).unwrap();
+        let s1 = score_table(&q, &lake, TableId(1), sim, &w, RowAgg::Max, &mut t, &off).unwrap();
         assert_eq!(s0, 1.0);
         assert!(s1 < s0 && s1 > 0.0);
     }
@@ -876,11 +888,12 @@ mod tests {
     fn unlinked_tables_are_skipped() {
         let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
-        let sim = TypeJaccard::new(&g);
+        let types = TypeJaccard::new(&g);
+        let sim = SigmaSource::Direct(&types);
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let mut t = ScoreTimings::default();
-        assert!(score_table(&q, &lake, TableId(2), &sim, &w, RowAgg::Max, &mut t, &off).is_none());
+        assert!(score_table(&q, &lake, TableId(2), sim, &w, RowAgg::Max, &mut t, &off).is_none());
         assert_eq!(t.tables_scored, 0);
     }
 
@@ -888,11 +901,12 @@ mod tests {
     fn stale_lake_scores_through_an_adhoc_digest() {
         let off = QueryTrace::disabled();
         let (g, mut lake, players) = fixture();
-        let sim = TypeJaccard::new(&g);
+        let types = TypeJaccard::new(&g);
+        let sim = SigmaSource::Direct(&types);
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let mut t = ScoreTimings::default();
-        let fresh = score_table(&q, &lake, TableId(0), &sim, &w, RowAgg::Max, &mut t, &off);
+        let fresh = score_table(&q, &lake, TableId(0), sim, &w, RowAgg::Max, &mut t, &off);
         // Touching another table through `table_mut` marks only *it* stale;
         // scoring the stale table falls back to an ad-hoc digest instead of
         // panicking, while fresh tables keep using their stored digest.
@@ -903,14 +917,14 @@ mod tests {
             }]);
         assert!(!lake.digest_fresh(TableId(1)));
         assert!(lake.digest_fresh(TableId(0)), "staleness is per table");
-        let unaffected = score_table(&q, &lake, TableId(0), &sim, &w, RowAgg::Max, &mut t, &off);
+        let unaffected = score_table(&q, &lake, TableId(0), sim, &w, RowAgg::Max, &mut t, &off);
         assert_eq!(fresh, unaffected);
         // The stale table itself scores without panicking.
-        let _ = score_table(&q, &lake, TableId(1), &sim, &w, RowAgg::Max, &mut t, &off);
+        let _ = score_table(&q, &lake, TableId(1), sim, &w, RowAgg::Max, &mut t, &off);
         // Bulk mutation stales everything; scoring still must not panic.
         let _ = lake.tables_mut();
         assert!(!lake.digests_fresh());
-        let stale = score_table(&q, &lake, TableId(0), &sim, &w, RowAgg::Max, &mut t, &off);
+        let stale = score_table(&q, &lake, TableId(0), sim, &w, RowAgg::Max, &mut t, &off);
         assert_eq!(fresh, stale);
     }
 
@@ -918,7 +932,8 @@ mod tests {
     fn parallel_matches_sequential() {
         let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
-        let sim = TypeJaccard::new(&g);
+        let types = TypeJaccard::new(&g);
+        let sim = SigmaSource::Direct(&types);
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let cands: Vec<TableId> = (0..3).map(TableId).collect();
@@ -926,7 +941,7 @@ mod tests {
             &q,
             &lake,
             &cands,
-            &sim,
+            sim,
             &w,
             RowAgg::Max,
             Schedule::sequential(),
@@ -937,7 +952,7 @@ mod tests {
             &q,
             &lake,
             &cands,
-            &sim,
+            sim,
             &w,
             RowAgg::Max,
             Schedule::with_threads(4),
@@ -955,7 +970,8 @@ mod tests {
         // Force real workers with a tiny block: every candidate must be
         // scored exactly once no matter how blocks interleave.
         let (g, lake, players) = fixture();
-        let sim = TypeJaccard::new(&g);
+        let types = TypeJaccard::new(&g);
+        let sim = SigmaSource::Direct(&types);
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let cands: Vec<TableId> = (0..3).flat_map(|_| (0..3).map(TableId)).collect();
@@ -965,7 +981,7 @@ mod tests {
             min_per_thread: 1,
         };
         let (scored, timings) =
-            score_candidates(&q, &lake, &cands, &sim, &w, RowAgg::Max, sched, None, &off);
+            score_candidates(&q, &lake, &cands, sim, &w, RowAgg::Max, sched, None, &off);
         // 9 visits, 3 of them the unlinked table.
         assert_eq!(scored.len(), 6);
         assert_eq!(timings.tables_scored, 6);
@@ -975,7 +991,8 @@ mod tests {
     fn timings_accumulate() {
         let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
-        let sim = TypeJaccard::new(&g);
+        let types = TypeJaccard::new(&g);
+        let sim = SigmaSource::Direct(&types);
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let cands: Vec<TableId> = (0..3).map(TableId).collect();
@@ -983,7 +1000,7 @@ mod tests {
             &q,
             &lake,
             &cands,
-            &sim,
+            sim,
             &w,
             RowAgg::Max,
             Schedule::sequential(),
@@ -1000,25 +1017,27 @@ mod tests {
     fn upper_bound_dominates_the_real_score() {
         let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
-        let sim = TypeJaccard::new(&g);
+        let types = TypeJaccard::new(&g);
+        let sim = SigmaSource::Direct(&types);
         let q = Query::new(vec![vec![players[0]], vec![players[2], players[4]]]);
         let w = ones(&q);
         for tid in [TableId(0), TableId(1)] {
-            let bound = upper_bound_score(&q, &lake, tid, &sim, &w).unwrap();
+            let bound = upper_bound_score(&q, &lake, tid, sim, &w).unwrap();
             for agg in [RowAgg::Max, RowAgg::Avg] {
                 let mut t = ScoreTimings::default();
-                let s = score_table(&q, &lake, tid, &sim, &w, agg, &mut t, &off).unwrap();
+                let s = score_table(&q, &lake, tid, sim, &w, agg, &mut t, &off).unwrap();
                 assert!(s <= bound + 1e-12, "{s} > {bound} for {tid:?} {agg:?}");
             }
         }
-        assert!(upper_bound_score(&q, &lake, TableId(2), &sim, &w).is_none());
+        assert!(upper_bound_score(&q, &lake, TableId(2), sim, &w).is_none());
     }
 
     #[test]
     fn pruned_search_keeps_the_same_top_k() {
         let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
-        let sim = TypeJaccard::new(&g);
+        let types = TypeJaccard::new(&g);
+        let sim = SigmaSource::Direct(&types);
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let cands: Vec<TableId> = (0..3).map(TableId).collect();
@@ -1026,7 +1045,7 @@ mod tests {
             &q,
             &lake,
             &cands,
-            &sim,
+            sim,
             &w,
             RowAgg::Max,
             Schedule::sequential(),
@@ -1037,7 +1056,7 @@ mod tests {
             &q,
             &lake,
             &cands,
-            &sim,
+            sim,
             &w,
             RowAgg::Max,
             Schedule::sequential(),
@@ -1060,7 +1079,8 @@ mod tests {
         // with k = 1 it has the highest bound, seeds the floor at 1.0, and
         // every other table gets pruned.
         let (g, lake, players) = fixture();
-        let sim = TypeJaccard::new(&g);
+        let types = TypeJaccard::new(&g);
+        let sim = SigmaSource::Direct(&types);
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let cands: Vec<TableId> = (0..3).map(TableId).collect();
@@ -1068,7 +1088,7 @@ mod tests {
             &q,
             &lake,
             &cands,
-            &sim,
+            sim,
             &w,
             RowAgg::Max,
             Schedule::sequential(),
@@ -1086,7 +1106,8 @@ mod tests {
     fn traced_scoring_matches_untraced_and_records_provenance() {
         let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
-        let sim = TypeJaccard::new(&g);
+        let types = TypeJaccard::new(&g);
+        let sim = SigmaSource::Direct(&types);
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let cands: Vec<TableId> = (0..3).map(TableId).collect();
@@ -1095,7 +1116,7 @@ mod tests {
             &q,
             &lake,
             &cands,
-            &sim,
+            sim,
             &w,
             RowAgg::Max,
             Schedule::sequential(),
@@ -1108,7 +1129,7 @@ mod tests {
             &q,
             &lake,
             &cands,
-            &sim,
+            sim,
             &w,
             RowAgg::Max,
             Schedule::sequential(),
@@ -1149,7 +1170,8 @@ mod tests {
     fn pruned_k_zero_returns_nothing() {
         let off = QueryTrace::disabled();
         let (g, lake, players) = fixture();
-        let sim = TypeJaccard::new(&g);
+        let types = TypeJaccard::new(&g);
+        let sim = SigmaSource::Direct(&types);
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let cands: Vec<TableId> = (0..3).map(TableId).collect();
@@ -1157,7 +1179,7 @@ mod tests {
             &q,
             &lake,
             &cands,
-            &sim,
+            sim,
             &w,
             RowAgg::Max,
             Schedule::sequential(),

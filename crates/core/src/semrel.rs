@@ -275,7 +275,7 @@ mod tests {
         let tuple = vec![players[0], teams[1]];
         let w = [0.25, 0.75];
         let query = crate::query::Query::single(tuple.clone());
-        let sigma = SigmaRows::build(&query, &digest, &sim);
+        let sigma = SigmaRows::build(&query, &digest, crate::sigma::SigmaSource::Direct(&sim));
         for mapping in [
             ColumnMapping {
                 columns: vec![Some(0), Some(1)],

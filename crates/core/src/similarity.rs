@@ -85,9 +85,10 @@ impl std::fmt::Display for SigmaKernel {
 ///
 /// Implementations must be cheap (`O(types)` or `O(dim)`) — Algorithm 1
 /// evaluates `σ` once per (query entity, table cell) pair — and
-/// **deterministic**: the engine memoizes values per entity pair in a
-/// [`SimilarityCache`](crate::cache::SimilarityCache), so `sim(a, b)` must
-/// return the same value every time for the same pair.
+/// **deterministic**: the engine memoizes values in the dense rows of a
+/// [`SimilarityCache`](crate::cache::SimilarityCache), where two workers
+/// may fill the same cell, so `sim(a, b)` must return the same value every
+/// time for the same pair.
 pub trait EntitySimilarity: Sync {
     /// The similarity of two entities.
     fn sim(&self, a: EntityId, b: EntityId) -> f64;

@@ -284,6 +284,28 @@ fn sigma_failpoint_fires_identically_under_the_f32_kernel() {
     );
 }
 
+/// Type-Jaccard σ evaluated `SLOW_REPEATS` times per pair. The deadline
+/// test needs a scan of at least 160 ms whose cost is spread evenly over
+/// the tables; with the memo off, σ is that cost, and a slower σ reaches it
+/// on a lake small enough to build quickly in a release build too.
+struct SlowSigma<'g>(TypeJaccard<'g>);
+
+const SLOW_REPEATS: usize = 8;
+
+impl thetis_core::EntitySimilarity for SlowSigma<'_> {
+    fn sim(&self, a: EntityId, b: EntityId) -> f64 {
+        let mut v = 0.0;
+        for _ in 0..SLOW_REPEATS {
+            v = std::hint::black_box(self.0.sim(a, b));
+        }
+        v
+    }
+
+    fn name(&self) -> &'static str {
+        "slow-types"
+    }
+}
+
 /// The acceptance test for deadlines: with a budget far below the full
 /// scan time, the search returns quickly (≈ within 2× the budget) with a
 /// valid partial top-k, `tables_unscored > 0`, and bit-identical scores
@@ -294,12 +316,18 @@ fn deadline_returns_early_with_a_valid_partial_ranking() {
 
     // Size the lake adaptively so the full scan takes a measurable amount
     // of wall time on this machine/profile (debug vs release differ ~10×).
+    // Without the memo every table pays for its own σ, so the scan's time
+    // is spread evenly over the tables the deadline cuts between.
+    let unmemoized = |lake: &DataLake| SearchOptions {
+        memoize: false,
+        ..exhaustive_options(lake, 2)
+    };
     let mut rows = 64usize;
     let (s, baseline, full_scan) = loop {
         let s = build_scenario(11, 48, rows);
-        let engine = ThetisEngine::new(&s.graph, &s.lake, TypeJaccard::new(&s.graph));
+        let engine = ThetisEngine::new(&s.graph, &s.lake, SlowSigma(TypeJaccard::new(&s.graph)));
         let t0 = Instant::now();
-        let baseline = engine.search(&s.query, exhaustive_options(&s.lake, 2));
+        let baseline = engine.search(&s.query, unmemoized(&s.lake));
         let full_scan = t0.elapsed();
         if full_scan >= Duration::from_millis(160) || rows >= 16384 {
             break (s, baseline, full_scan);
@@ -311,11 +339,11 @@ fn deadline_returns_early_with_a_valid_partial_ranking() {
         "could not build a slow enough lake (full scan {full_scan:?})"
     );
 
-    let engine = ThetisEngine::new(&s.graph, &s.lake, TypeJaccard::new(&s.graph));
+    let engine = ThetisEngine::new(&s.graph, &s.lake, SlowSigma(TypeJaccard::new(&s.graph)));
     let budget = full_scan / 8;
     let options = SearchOptions {
         deadline: Some(budget),
-        ..exhaustive_options(&s.lake, 2)
+        ..unmemoized(&s.lake)
     };
     let t0 = Instant::now();
     let partial = engine.search(&s.query, options);

@@ -10,8 +10,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use thetis_core::search::{score_candidates, Schedule};
 use thetis_core::{
-    CachedSimilarity, Candidates, CountingSimilarity, EmbeddingCosine, Informativeness, Query,
-    RowAgg, SearchOptions, SimilarityCache, ThetisEngine, TypeJaccard,
+    Candidates, EmbeddingCosine, Informativeness, Query, RowAgg, SearchOptions,
+    SharedSimilarityCache, SigmaKernel, SigmaSource, SimilarityCache, ThetisEngine, TypeJaccard,
 };
 use thetis_datalake::{CellValue, DataLake, Table, TableId};
 use thetis_embedding::EmbeddingStore;
@@ -274,7 +274,7 @@ proptest! {
             for agg in [RowAgg::Max, RowAgg::Avg] {
                 let reference = reference_scores(&s, sim, &weights, agg);
                 let (mut fast, timings) = score_candidates(
-                    &s.query, &s.lake, &candidates, sim, &weights, agg, sched, None, &off,
+                    &s.query, &s.lake, &candidates, SigmaSource::Direct(sim), &weights, agg, sched, None, &off,
                 );
                 fast.sort_by_key(|&(t, _)| t);
                 prop_assert_eq!(fast.len(), reference.len());
@@ -332,7 +332,9 @@ proptest! {
     }
 
     /// Every σ lookup is either computed or served from the memo:
-    /// `computed + served` equals the number of lookups, exactly.
+    /// `computed + served` equals the number of lookups, exactly — one per
+    /// (query entity, distinct entity) of every scored table — and every
+    /// computed pair left a filled cell behind.
     #[test]
     fn sigma_counters_account_for_every_lookup(
         seed in any::<u64>(),
@@ -343,26 +345,117 @@ proptest! {
         let s = build_scenario(seed, n_entities, n_tables);
         let sim = TypeJaccard::new(&s.graph);
         let cache = SimilarityCache::new();
-        let cached = CachedSimilarity::new(&sim, &cache);
-        // The outer counter sees every lookup that reaches the cache.
-        let lookups = CountingSimilarity::new(&cached);
+        let entities = s.query.distinct_entities();
+        let rows = cache.rows(&sim, SigmaKernel::F64Exact, entities.clone(), s.graph.entity_count());
         let weights = Informativeness::from_lake(&s.lake).query_weights(&s.lake, &s.query);
         let candidates: Vec<TableId> = (0..s.lake.len() as u32).map(TableId).collect();
         score_candidates(
             &s.query,
             &s.lake,
             &candidates,
-            &lookups,
+            SigmaSource::Memo(&rows),
             &weights,
             RowAgg::Max,
             Schedule::with_threads(threads),
             None,
             &QueryTrace::disabled(),
         );
-        let stats = cache.stats();
-        prop_assert_eq!(stats.computed + stats.served, lookups.computed());
-        // Racing workers may compute a pair twice, but never store it twice.
-        prop_assert!(stats.computed >= cache.len() as u64);
+        let distinct: Vec<Vec<EntityId>> = candidates
+            .iter()
+            .filter_map(|&t| s.lake.digest(t))
+            .map(|d| d.distinct.clone())
+            .collect();
+        let lookups: usize = distinct.iter().map(|d| entities.len() * d.len()).sum();
+        let stats = rows.stats();
+        prop_assert_eq!(stats.computed + stats.served, lookups as u64);
+        // Racing workers may fill a cell twice, but every cell filled once
+        // is counted at least once.
+        let mut pool: Vec<EntityId> = distinct.concat();
+        pool.sort();
+        pool.dedup();
+        let filled = (0..entities.len())
+            .flat_map(|i| pool.iter().map(move |&b| (i, b)))
+            .filter(|&(i, b)| rows.cell(i, b).is_some())
+            .count();
+        prop_assert_eq!(filled, entities.len() * pool.len());
+        prop_assert!(stats.computed >= filled as u64);
+        if threads == 1 {
+            prop_assert_eq!(stats.computed, filled as u64);
+        }
+    }
+
+    /// A shared memo with room for one row evicts all the time, yet one
+    /// search never evaluates a pair twice: its `sigma_computed` stays
+    /// within (distinct query entities × distinct entities of its
+    /// candidates), and it ranks bitwise like the memo-less search.
+    #[test]
+    fn each_pair_is_computed_at_most_once_per_search_under_eviction(
+        seed in any::<u64>(),
+        n_entities in 4usize..16,
+        n_tables in 2usize..12,
+        k in 1usize..6,
+        threads in 1usize..4,
+    ) {
+        let s = build_scenario(seed, n_entities, n_tables);
+        let engine = ThetisEngine::new(&s.graph, &s.lake, TypeJaccard::new(&s.graph));
+        let memo = SimilarityCache::with_capacity(s.graph.entity_count());
+        let options = SearchOptions { threads, ..SearchOptions::top(k) };
+        let off = QueryTrace::disabled();
+        let mut pool: Vec<EntityId> = (0..s.lake.len() as u32)
+            .filter_map(|t| s.lake.digest(TableId(t)))
+            .flat_map(|d| d.distinct.iter().copied())
+            .collect();
+        pool.sort();
+        pool.dedup();
+        let bound = (s.query.distinct_entities().len() * pool.len()) as u64;
+        let reference = engine.search(&s.query, SearchOptions { memoize: false, ..options });
+        for _ in 0..2 {
+            let res = engine.execute(&s.query, options, Candidates::Lake, Some(&memo), &off);
+            prop_assert!(
+                res.stats.sigma_computed() <= bound,
+                "computed {} > bound {}", res.stats.sigma_computed(), bound
+            );
+            let bits = |r: &[(TableId, f64)]| -> Vec<(TableId, u64)> {
+                r.iter().map(|&(t, x)| (t, x.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&res.ranked), bits(&reference.ranked));
+        }
+        prop_assert!(memo.len() <= s.graph.entity_count());
+    }
+
+    /// A stream of three queries through one shared memo of one row, with
+    /// the epoch advancing between them, ranks each query bitwise like
+    /// memo-less `execute`.
+    #[test]
+    fn shared_memo_stream_across_epochs_ranks_like_no_memo(
+        seed in any::<u64>(),
+        n_entities in 4usize..16,
+        n_tables in 2usize..10,
+        picks in proptest::collection::vec(proptest::collection::vec(any::<u32>(), 1..4), 3),
+    ) {
+        let s = build_scenario(seed, n_entities, n_tables);
+        let engine = ThetisEngine::new(&s.graph, &s.lake, TypeJaccard::new(&s.graph));
+        let shared = SharedSimilarityCache::new(0, s.graph.entity_count());
+        let options = SearchOptions::top(5);
+        let off = QueryTrace::disabled();
+        for (epoch, pick) in picks.iter().enumerate() {
+            let tuple = pick.iter().map(|&e| EntityId(e % n_entities as u32)).collect();
+            let query = Query::single(tuple);
+            let memo = shared.for_epoch(epoch as u64);
+            let res = engine.execute(&query, options, Candidates::Lake, Some(memo), &off);
+            let reference = engine.execute(
+                &query,
+                SearchOptions { memoize: false, ..options },
+                Candidates::Lake,
+                None,
+                &off,
+            );
+            let bits = |r: &[(TableId, f64)]| -> Vec<(TableId, u64)> {
+                r.iter().map(|&(t, x)| (t, x.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&res.ranked), bits(&reference.ranked), "query {}", epoch);
+        }
+        prop_assert_eq!(shared.invalidations(), 2);
     }
 
     /// A second identical search against a shared cache computes nothing:

@@ -100,7 +100,8 @@ pub struct ServerStats {
     pub errors: u64,
     /// Searches currently executing.
     pub inflight: u64,
-    /// Resident entries in the shared σ memo.
+    /// σ cells held by the shared memo's resident rows, filled or not
+    /// (8 bytes each): what `cache_capacity` bounds.
     pub cache_entries: u64,
     /// σ evaluations the shared memo performed (misses), cumulative.
     pub cache_computed: u64,
@@ -108,7 +109,7 @@ pub struct ServerStats {
     pub cache_served: u64,
     /// Cumulative hit rate of the shared memo.
     pub cache_hit_rate: f64,
-    /// Shard wipes forced by the memo's capacity bound.
+    /// Whole-memo drops forced by its capacity bound.
     pub cache_evictions: u64,
     /// Epoch advances that evicted the shared memo.
     pub cache_invalidations: u64,

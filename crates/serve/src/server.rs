@@ -79,10 +79,12 @@ pub struct ServerConfig {
     pub addr: String,
     /// Searches allowed in flight at once; one more is shed, not queued.
     pub max_inflight: usize,
-    /// Entry budget of the shared σ memo (0 = unbounded).
+    /// Budget of the shared σ memo in σ cells of 8 bytes (0 = unbounded);
+    /// the default 1048576 is 8 MiB. The memo holds one row of
+    /// `entity_count` cells per (query entity, kernel), so the budget holds
+    /// `cache_capacity / entity_count` rows; a row that does not fit drops
+    /// the whole memo first (one `cache_evictions`).
     pub cache_capacity: usize,
-    /// Lock shards of the shared σ memo.
-    pub cache_shards: usize,
     /// Default LSEI voting threshold (requests may override).
     pub votes: usize,
     /// Build and use the LSEI prefilter (recommended; without it every
@@ -151,7 +153,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             max_inflight: std::thread::available_parallelism().map_or(4, |n| n.get() * 2),
             cache_capacity: 1 << 20,
-            cache_shards: thetis_core::SimilarityCache::DEFAULT_SHARDS,
             votes: 1,
             use_lsei: true,
             k: 10,
@@ -357,7 +358,7 @@ impl Server {
         let server = Arc::new(Self {
             graph,
             sim,
-            cache: SharedSimilarityCache::new(epoch, config.cache_shards, config.cache_capacity),
+            cache: SharedSimilarityCache::new(epoch, config.cache_capacity),
             config,
             epochs,
             state,

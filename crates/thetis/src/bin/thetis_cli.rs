@@ -105,8 +105,9 @@ options:
                          printed on stderr)
   --max-inflight N       (serve) searches in flight before shedding with
                          an \"overloaded\" response  (default 2x cores)
-  --cache-capacity N     (serve) entry budget of the shared cross-query
-                         sigma memo, 0 = unbounded  (default 1048576)
+  --cache-capacity N     (serve) budget of the shared cross-query sigma
+                         memo in sigma cells of 8 bytes, 0 = unbounded
+                         (default 1048576 = 8 MiB)
   --slowlog FILE         (serve) append promoted slow-query traces to FILE
                          as JSONL (render later with `thetis-cli slowlog`)
   --wal FILE             (serve) journal every mutation to FILE before it
