@@ -103,7 +103,6 @@ pub fn run(ctx: &Ctx) -> String {
                 lake,
                 None,
                 thetis::serve::ServerConfig {
-                    threads: 1,
                     // Admission control is exercised by the e2e tests; the
                     // bench wants every scheduled request answered even on
                     // single-core runners (CI passes --max-inflight too).

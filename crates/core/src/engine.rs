@@ -13,7 +13,7 @@ use thetis_obs::QueryTrace;
 use crate::cache::{CountingSimilarity, SimilarityCache};
 use crate::informativeness::Informativeness;
 use crate::query::Query;
-use crate::search::{score_candidates, score_candidates_pruned, Schedule, ScoreTimings};
+use crate::search::{score_candidates, score_candidates_pruned, ScoreTimings};
 use crate::semrel::RowAgg;
 use crate::sigma::SigmaSource;
 use crate::similarity::{EntitySimilarity, SigmaKernel};
@@ -47,24 +47,20 @@ pub struct SearchOptions {
     pub k: usize,
     /// Row-score aggregation (the paper recommends [`RowAgg::Max`]).
     pub agg: RowAgg,
-    /// Worker threads for table scoring (0 = all available cores).
+    /// Worker threads for table scoring (0 = all available cores). A
+    /// scoring pass spawns them only when each gets at least 16
+    /// candidates; smaller candidate sets score on the calling thread.
     pub threads: usize,
-    /// Memoize `σ(query entity, lake entity)` in a query-scoped
-    /// [`SimilarityCache`] — one dense row per query entity — shared
-    /// across all candidate tables, so each pair is evaluated at most once
-    /// per search.
-    pub memoize: bool,
-    /// Skip the Hungarian mapping and row aggregation for tables whose
+    /// Run the exhaustive reference path instead of the optimised
+    /// default. The default reads σ through dense memo rows (the caller's
+    /// memo, else a query-scoped [`SimilarityCache`]), so each (query
+    /// entity, lake entity) pair is evaluated at most once per search, and
+    /// skips the Hungarian mapping and row aggregation for tables whose
     /// relevance upper bound cannot beat the running top-`k` floor. The
-    /// ranking is identical to the exhaustive path either way.
-    pub prune: bool,
-    /// Candidates claimed per work-stealing block (see
-    /// [`Schedule::block`]).
-    pub steal_block: usize,
-    /// Per-thread sequential-fallback cutoff: workers are only spawned
-    /// when `candidates ≥ threads × min_per_thread` (see
-    /// [`Schedule::min_per_thread`]).
-    pub min_per_thread: usize,
+    /// exhaustive path evaluates σ directly and scores every candidate; it
+    /// never reads or fills a memo, so it stays an independent check of
+    /// the default. Both rank identically.
+    pub exhaustive: bool,
     /// Wall-clock budget for the scoring pass. When it expires the search
     /// stops claiming work at steal-block granularity and returns the
     /// best-so-far top-`k` with [`SearchStats::degraded`] set and the
@@ -88,10 +84,7 @@ impl Default for SearchOptions {
             k: 10,
             agg: RowAgg::Max,
             threads: 0,
-            memoize: true,
-            prune: true,
-            steal_block: Schedule::DEFAULT_BLOCK,
-            min_per_thread: Schedule::DEFAULT_MIN_PER_THREAD,
+            exhaustive: false,
             deadline: None,
             kernel: SigmaKernel::F64Exact,
         }
@@ -107,13 +100,12 @@ impl SearchOptions {
         }
     }
 
-    /// Top-`k` search with memoization and pruning disabled — the
-    /// reference path the optimized one is validated against.
+    /// Top-`k` search on the exhaustive path — no memo, no pruning — the
+    /// reference the optimised one is validated against.
     pub fn exhaustive(k: usize) -> Self {
         Self {
             k,
-            memoize: false,
-            prune: false,
+            exhaustive: true,
             ..Self::default()
         }
     }
@@ -136,15 +128,6 @@ impl SearchOptions {
             self.threads
         } else {
             std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
-    }
-
-    /// The work-stealing schedule these options resolve to.
-    pub fn schedule(&self) -> Schedule {
-        Schedule {
-            threads: self.resolved_threads(),
-            block: self.steal_block.max(1),
-            min_per_thread: self.min_per_thread.max(1),
         }
     }
 }
@@ -446,8 +429,9 @@ impl<'a, S: EntitySimilarity> ThetisEngine<'a, S> {
     /// and a repeat query against a warm cache computes no σ at all
     /// ([`SearchStats::sigma_hit_rate`] of 1.0). The caller must clear or
     /// replace the cache when the underlying similarity changes. `None`
-    /// uses a query-scoped memo when [`SearchOptions::memoize`] is set;
-    /// without either, σ is evaluated directly on every lookup.
+    /// uses a query-scoped memo. Under [`SearchOptions::exhaustive`] the
+    /// memo is ignored, neither read nor filled: σ is evaluated directly
+    /// on every lookup.
     ///
     /// An active `trace` receives the full per-query event stream (LSEI
     /// band matches and votes when the candidates came from
@@ -501,10 +485,11 @@ impl<'a, S: EntitySimilarity> ThetisEngine<'a, S> {
         trace.record_with("lake.epoch", || {
             thetis_obs::trace_attrs![("epoch", lake_epoch)]
         });
-        // A query-scoped memo, unless the caller brought a longer-lived one.
-        // Its rows for this query are resolved here, once per search.
-        let owned = (memo.is_none() && options.memoize).then(SimilarityCache::new);
-        let cache = memo.or(owned.as_ref());
+        // The default path reads σ through memo rows: the caller's memo,
+        // else a query-scoped one, resolved here once per search. The
+        // exhaustive reference touches no memo at all.
+        let owned = (memo.is_none() && !options.exhaustive).then(SimilarityCache::new);
+        let cache = memo.or(owned.as_ref()).filter(|_| !options.exhaustive);
         let rows = cache.map(|c| {
             c.rows(
                 &self.sim,
@@ -519,26 +504,13 @@ impl<'a, S: EntitySimilarity> ThetisEngine<'a, S> {
             None => SigmaSource::Direct(&counting),
         };
 
-        let sched = options.schedule();
+        let threads = options.resolved_threads();
         // The budget covers the scoring pass; prefilter time already spent
         // is the caller's concern (it is typically microseconds).
         let deadline_at = options.deadline.map(|d| start + d);
         // `I(e)` of every query entity in the lake this search reads.
         let weights = self.inform.query_weights(self.lake, query);
-        let (scored, mut timings) = if options.prune {
-            score_candidates_pruned(
-                query,
-                self.lake,
-                candidates,
-                sigma,
-                &weights,
-                options.agg,
-                sched,
-                options.k,
-                deadline_at,
-                trace,
-            )
-        } else {
+        let (scored, mut timings) = if options.exhaustive {
             score_candidates(
                 query,
                 self.lake,
@@ -546,7 +518,20 @@ impl<'a, S: EntitySimilarity> ThetisEngine<'a, S> {
                 sigma,
                 &weights,
                 options.agg,
-                sched,
+                threads,
+                deadline_at,
+                trace,
+            )
+        } else {
+            score_candidates_pruned(
+                query,
+                self.lake,
+                candidates,
+                sigma,
+                &weights,
+                options.agg,
+                threads,
+                options.k,
                 deadline_at,
                 trace,
             )
@@ -755,15 +740,10 @@ mod tests {
             for ((_, want), (_, got)) in exact.ranked.iter().zip(&quant.ranked) {
                 assert!((want - got).abs() < 0.05, "{kernel}: {got} vs {want}");
             }
-            // Memoized and unmemoized runs agree bit-for-bit per kernel.
-            let unmemo = engine.search(
-                &q,
-                SearchOptions {
-                    memoize: false,
-                    ..SearchOptions::top(4).with_kernel(kernel)
-                },
-            );
-            for ((ta, sa), (tb, sb)) in quant.ranked.iter().zip(&unmemo.ranked) {
+            // The default and exhaustive paths agree bit-for-bit per kernel.
+            let reference = engine.search(&q, SearchOptions::exhaustive(4).with_kernel(kernel));
+            assert_eq!(quant.ranked.len(), reference.ranked.len());
+            for ((ta, sa), (tb, sb)) in quant.ranked.iter().zip(&reference.ranked) {
                 assert_eq!(ta, tb);
                 assert_eq!(sa.to_bits(), sb.to_bits());
             }
@@ -830,11 +810,11 @@ mod tests {
         ]);
         let engine = ThetisEngine::new(&g, &lake, TypeJaccard::new(&g));
         let q = Query::single(vec![players[0]]);
-        // Disable pruning on both sides so the comparison isolates the memo.
+        // One worker, so the σ counts do not depend on thread timing.
         let memo = engine.search(
             &q,
             SearchOptions {
-                prune: false,
+                threads: 1,
                 ..SearchOptions::top(3)
             },
         );
@@ -848,6 +828,33 @@ mod tests {
         assert_eq!(raw.stats.sigma_cached(), 0);
         assert!(memo.stats.sigma_cached() > 0);
         assert!(memo.stats.sigma_hit_rate() > 0.0);
+    }
+
+    #[test]
+    fn exhaustive_search_ignores_a_callers_memo() {
+        let (g, lake, players, volley) = fixture();
+        let engine = ThetisEngine::new(&g, &lake, TypeJaccard::new(&g));
+        let q = Query::new(vec![vec![players[0]], vec![volley[1], players[3]]]);
+        let memo = crate::cache::SimilarityCache::new();
+        let off = QueryTrace::disabled();
+        let options = SearchOptions::exhaustive(3);
+        let with_memo = engine.execute(&q, options, Candidates::Lake, Some(&memo), &off);
+        let without = engine.execute(&q, options, Candidates::Lake, None, &off);
+        assert_eq!(
+            memo.len(),
+            0,
+            "the exhaustive path filled the caller's memo"
+        );
+        assert_eq!(memo.stats(), crate::cache::CacheStats::default());
+        assert_eq!(with_memo.stats.sigma_cached(), 0);
+        assert_eq!(
+            with_memo.stats.sigma_computed(),
+            without.stats.sigma_computed()
+        );
+        let bits = |r: &[(TableId, f64)]| -> Vec<(TableId, u64)> {
+            r.iter().map(|&(t, x)| (t, x.to_bits())).collect()
+        };
+        assert_eq!(bits(&with_memo.ranked), bits(&without.ranked));
     }
 
     #[test]
@@ -882,10 +889,7 @@ mod tests {
         let signer = TypeSigner::new(&g, TypeFilter::none(), cfg, 7);
         let lsei = Lsei::build(&lake, signer, cfg, LseiMode::Entity);
         let q = Query::single(vec![players[0]]);
-        let opts = SearchOptions {
-            prune: false,
-            ..SearchOptions::top(4)
-        };
+        let opts = SearchOptions::top(4);
         let shared = crate::cache::SharedSimilarityCache::new(lake.epoch(), 0);
         let off = QueryTrace::disabled();
 

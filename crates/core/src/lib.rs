@@ -53,7 +53,7 @@ pub use explain::{explain, EntityMatch, Explanation, TupleExplanation};
 pub use informativeness::Informativeness;
 pub use query::{EntityTuple, Query};
 pub use relaxation::{search_with_relaxation, RelaxationConfig, RelaxedSearch};
-pub use search::{Schedule, ScoreTimings};
+pub use search::ScoreTimings;
 pub use semrel::RowAgg;
 pub use sigma::{SigmaRows, SigmaSource};
 pub use similarity::{

@@ -15,11 +15,13 @@
 //! `Option`-gated and records nothing.
 //!
 //! Candidates are distributed over workers by **work stealing**: a shared
-//! atomic cursor hands out fixed-size blocks ([`Schedule::block`]), so a
-//! worker that drew the few giant tables simply claims fewer blocks while
-//! the others drain the rest — no static chunk skew. The pruned scorer
-//! additionally orders candidates by descending upper bound and seeds the
-//! shared top-k floor from the `k` best bounds before the main loop.
+//! atomic cursor hands out blocks of 8 candidates, so a worker that drew
+//! the few giant tables simply claims fewer blocks while the others drain
+//! the rest — no static chunk skew. A pass spawns its `threads` workers
+//! only when each gets at least 16 candidates; smaller sets run inline on
+//! the caller. The pruned scorer additionally orders candidates by
+//! descending upper bound and seeds the shared top-k floor from the `k`
+//! best bounds before the main loop.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -62,12 +64,13 @@ pub struct ScoreTimings {
     /// Tables skipped because their relevance upper bound could not beat
     /// the running top-k floor.
     pub tables_pruned: usize,
-    /// σ evaluations actually performed (memo cells filled when
-    /// memoizing; every evaluation otherwise). Filled in by the engine
-    /// from the search's [`MemoRows`](crate::cache::MemoRows).
+    /// σ evaluations actually performed: memo cells filled on the default
+    /// path, every evaluation on the exhaustive one. Filled in by the
+    /// engine from the search's [`MemoRows`](crate::cache::MemoRows) or
+    /// its [`CountingSimilarity`](crate::cache::CountingSimilarity).
     pub sigma_computed: u64,
-    /// σ lookups served from the query-scoped memo (always 0 when
-    /// memoization is disabled).
+    /// σ lookups served from the search's memo rows (always 0 on the
+    /// exhaustive path, which reads no memo).
     pub sigma_cached: u64,
     /// Candidates skipped because they carry no entity links (irrelevant
     /// by §4.2; includes every candidate when the query itself is empty).
@@ -117,54 +120,30 @@ impl ScoreTimings {
     }
 }
 
-/// How a scoring pass is spread over worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Schedule {
-    /// Worker threads (at least 1).
-    pub threads: usize,
-    /// Candidates claimed per work-stealing block. Small blocks balance
-    /// skewed table sizes better; large blocks amortize the shared-cursor
-    /// atomics. The default suits lakes where a handful of tables dominate.
-    pub block: usize,
-    /// Sequential-fallback cutoff, per thread: workers are only spawned
-    /// when `candidates ≥ threads × min_per_thread`, so a small candidate
-    /// set never pays thread-spawn overhead for a few tables each.
-    pub min_per_thread: usize,
-}
+/// Candidates claimed per work-stealing block. Small blocks balance skewed
+/// table sizes better; large blocks amortize the shared-cursor atomics.
+/// This size suits lakes where a handful of tables dominate.
+const STEAL_BLOCK: usize = 8;
 
-impl Schedule {
-    /// Default work-stealing block size.
-    pub const DEFAULT_BLOCK: usize = 8;
-    /// Default sequential-fallback cutoff per thread.
-    pub const DEFAULT_MIN_PER_THREAD: usize = 16;
+/// Sequential-fallback cutoff, per thread: workers are only spawned when
+/// each gets at least this many candidates, so a small candidate set never
+/// pays thread-spawn overhead for a few tables each.
+const MIN_PER_THREAD: usize = 16;
 
-    /// A schedule over `threads` workers with default block size and
-    /// cutoff.
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-            block: Self::DEFAULT_BLOCK,
-            min_per_thread: Self::DEFAULT_MIN_PER_THREAD,
-        }
-    }
-
-    /// The single-threaded schedule.
-    pub fn sequential() -> Self {
-        Self::with_threads(1)
-    }
-
-    /// Workers to actually spawn for `n` work items.
-    fn workers_for(&self, n: usize) -> usize {
-        let threads = self.threads.max(1);
-        if threads == 1 || n < threads * self.min_per_thread.max(1) {
-            1
-        } else {
-            threads
-        }
+/// Workers to actually spawn for `n` work items under a budget of
+/// `threads`: all of them once every worker gets [`MIN_PER_THREAD`] items
+/// (compared by division, so no `threads` overflows), one otherwise, and
+/// never more than there are blocks to claim.
+fn workers_for(threads: usize, n: usize) -> usize {
+    let threads = threads.max(1);
+    if n / MIN_PER_THREAD < threads {
+        1
+    } else {
+        threads.min(n.div_ceil(STEAL_BLOCK))
     }
 }
 
-/// What a [`steal_blocks`] pass did, beyond the per-worker accumulators.
+/// What a [`work_steal`] pass did, beyond the per-worker accumulators.
 #[derive(Debug, Clone, Copy, Default)]
 struct StealReport {
     /// Items the surviving workers report as processed. Items claimed by a
@@ -195,9 +174,9 @@ struct StealReport {
 /// A worker thread that dies (its panic escaped `work`'s own isolation) is
 /// absorbed: its accumulator is dropped, the loss is counted in the
 /// report, and the remaining workers drain normally.
-fn steal_blocks<R, M, F>(
+fn work_steal<R, M, F>(
     n: usize,
-    sched: Schedule,
+    threads: usize,
     deadline: Option<Instant>,
     trace: &thetis_obs::QueryTrace,
     make: M,
@@ -208,8 +187,7 @@ where
     M: Fn(usize) -> R + Sync,
     F: Fn(&mut R, std::ops::Range<usize>, usize) -> u64 + Sync,
 {
-    let workers = sched.workers_for(n);
-    let block = sched.block.max(1);
+    let workers = workers_for(threads, n);
     let cursor = AtomicUsize::new(0);
     let expired = AtomicBool::new(false);
     let worker_loop = |wid: usize| -> (R, u64) {
@@ -235,11 +213,11 @@ where
                     break;
                 }
             }
-            let start = cursor.fetch_add(block, Ordering::Relaxed);
+            let start = cursor.fetch_add(STEAL_BLOCK, Ordering::Relaxed);
             if start >= n {
                 break;
             }
-            let end = (start + block).min(n);
+            let end = (start + STEAL_BLOCK).min(n);
             blocks += 1;
             if trace.is_verbose() {
                 trace.record(
@@ -563,7 +541,7 @@ pub fn upper_bound_score(
     Some(sum / query.len() as f64)
 }
 
-/// Scores `candidates` over the schedule's workers and returns all
+/// Scores `candidates` over up to `threads` workers and returns all
 /// `(table, score)` pairs (unsorted) plus merged timings.
 ///
 /// The trace handle is shared across the scoring workers (its event buffer
@@ -579,16 +557,16 @@ pub fn score_candidates(
     sigma: SigmaSource<'_>,
     weights: &[Vec<f64>],
     agg: RowAgg,
-    sched: Schedule,
+    threads: usize,
     deadline: Option<Instant>,
     trace: &thetis_obs::QueryTrace,
 ) -> (Vec<(TableId, f64)>, ScoreTimings) {
     if candidates.is_empty() {
         return (Vec::new(), ScoreTimings::default());
     }
-    let (results, report) = steal_blocks(
+    let (results, report) = work_steal(
         candidates.len(),
-        sched,
+        threads,
         deadline,
         trace,
         |_| (Vec::<(TableId, f64)>::new(), ScoreTimings::default()),
@@ -662,7 +640,7 @@ pub fn score_candidates_pruned(
     sigma: SigmaSource<'_>,
     weights: &[Vec<f64>],
     agg: RowAgg,
-    sched: Schedule,
+    threads: usize,
     k: usize,
     deadline: Option<Instant>,
     trace: &thetis_obs::QueryTrace,
@@ -675,9 +653,9 @@ pub fn score_candidates_pruned(
     // panic isolation as scoring — a table whose σ kernel panics while
     // bounding is dropped (counted in `tables_panicked`) instead of taking
     // the whole pass down.
-    let (bound_results, bound_report) = steal_blocks(
+    let (bound_results, bound_report) = work_steal(
         candidates.len(),
-        sched,
+        threads,
         deadline,
         trace,
         |_| (Vec::<(TableId, f64)>::new(), ScoreTimings::default()),
@@ -779,9 +757,9 @@ pub fn score_candidates_pruned(
 
     // Phase 4: the remainder, strongest first, under work stealing.
     let rest = &bounded[seed_n..];
-    let (main_results, main_report) = steal_blocks(
+    let (main_results, main_report) = work_steal(
         rest.len(),
-        sched,
+        threads,
         deadline,
         trace,
         |_| (TopK::<TableId>::new(k), ScoreTimings::default()),
@@ -937,28 +915,8 @@ mod tests {
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let cands: Vec<TableId> = (0..3).map(TableId).collect();
-        let (mut seq, _) = score_candidates(
-            &q,
-            &lake,
-            &cands,
-            sim,
-            &w,
-            RowAgg::Max,
-            Schedule::sequential(),
-            None,
-            &off,
-        );
-        let (mut par, _) = score_candidates(
-            &q,
-            &lake,
-            &cands,
-            sim,
-            &w,
-            RowAgg::Max,
-            Schedule::with_threads(4),
-            None,
-            &off,
-        );
+        let (mut seq, _) = score_candidates(&q, &lake, &cands, sim, &w, RowAgg::Max, 1, None, &off);
+        let (mut par, _) = score_candidates(&q, &lake, &cands, sim, &w, RowAgg::Max, 4, None, &off);
         seq.sort_by_key(|&(t, _)| t);
         par.sort_by_key(|&(t, _)| t);
         assert_eq!(seq, par);
@@ -966,25 +924,44 @@ mod tests {
 
     #[test]
     fn work_stealing_covers_every_candidate_once() {
-        let off = QueryTrace::disabled();
-        // Force real workers with a tiny block: every candidate must be
-        // scored exactly once no matter how blocks interleave.
+        // 48 candidates give each of 3 workers its 16: every candidate must
+        // be scored exactly once no matter how the blocks interleave.
         let (g, lake, players) = fixture();
         let types = TypeJaccard::new(&g);
         let sim = SigmaSource::Direct(&types);
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
-        let cands: Vec<TableId> = (0..3).flat_map(|_| (0..3).map(TableId)).collect();
-        let sched = Schedule {
-            threads: 3,
-            block: 1,
-            min_per_thread: 1,
-        };
+        let cands: Vec<TableId> = (0..16).flat_map(|_| (0..3).map(TableId)).collect();
+        let trace = QueryTrace::summary(3);
         let (scored, timings) =
-            score_candidates(&q, &lake, &cands, sim, &w, RowAgg::Max, sched, None, &off);
-        // 9 visits, 3 of them the unlinked table.
-        assert_eq!(scored.len(), 6);
-        assert_eq!(timings.tables_scored, 6);
+            score_candidates(&q, &lake, &cands, sim, &w, RowAgg::Max, 3, None, &trace);
+        // 48 visits, 16 of them the unlinked table.
+        assert_eq!(scored.len(), 32);
+        assert_eq!(timings.tables_scored, 32);
+        let drains = trace
+            .events()
+            .iter()
+            .filter(|e| e.name == "sched.drain")
+            .count();
+        assert_eq!(drains, 3, "one drain per worker");
+    }
+
+    #[test]
+    fn worker_count_follows_the_cutoff_without_overflow() {
+        assert_eq!(workers_for(0, 1000), 1);
+        assert_eq!(workers_for(1, 1000), 1);
+        assert_eq!(workers_for(4, 63), 1);
+        assert_eq!(workers_for(4, 64), 4);
+        assert_eq!(workers_for(3, 48), 3);
+        // `threads × MIN_PER_THREAD` would overflow here; the division
+        // cannot, and no huge budget spawns more than one worker on a small
+        // or even a maximal set.
+        assert_eq!(workers_for(usize::MAX, 100), 1);
+        assert_eq!(workers_for(usize::MAX, usize::MAX), 1);
+        assert_eq!(workers_for(usize::MAX / 2, usize::MAX), 1);
+        let most = usize::MAX / MIN_PER_THREAD;
+        assert_eq!(workers_for(most, usize::MAX), most);
+        assert!(workers_for(most, usize::MAX) <= usize::MAX.div_ceil(STEAL_BLOCK));
     }
 
     #[test]
@@ -996,17 +973,7 @@ mod tests {
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let cands: Vec<TableId> = (0..3).map(TableId).collect();
-        let (_, timings) = score_candidates(
-            &q,
-            &lake,
-            &cands,
-            sim,
-            &w,
-            RowAgg::Max,
-            Schedule::sequential(),
-            None,
-            &off,
-        );
+        let (_, timings) = score_candidates(&q, &lake, &cands, sim, &w, RowAgg::Max, 1, None, &off);
         assert_eq!(timings.tables_scored, 2);
         assert!(timings.scoring_nanos >= timings.mapping_nanos);
         assert!(timings.mapping_fraction() <= 1.0);
@@ -1041,29 +1008,10 @@ mod tests {
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let cands: Vec<TableId> = (0..3).map(TableId).collect();
-        let (exhaustive, _) = score_candidates(
-            &q,
-            &lake,
-            &cands,
-            sim,
-            &w,
-            RowAgg::Max,
-            Schedule::sequential(),
-            None,
-            &off,
-        );
-        let (survivors, timings) = score_candidates_pruned(
-            &q,
-            &lake,
-            &cands,
-            sim,
-            &w,
-            RowAgg::Max,
-            Schedule::sequential(),
-            1,
-            None,
-            &off,
-        );
+        let (exhaustive, _) =
+            score_candidates(&q, &lake, &cands, sim, &w, RowAgg::Max, 1, None, &off);
+        let (survivors, timings) =
+            score_candidates_pruned(&q, &lake, &cands, sim, &w, RowAgg::Max, 1, 1, None, &off);
         let mut top = crate::topk::TopK::new(1);
         for &(t, s) in &exhaustive {
             top.push(t, s);
@@ -1084,18 +1032,8 @@ mod tests {
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let cands: Vec<TableId> = (0..3).map(TableId).collect();
-        let (survivors, timings) = score_candidates_pruned(
-            &q,
-            &lake,
-            &cands,
-            sim,
-            &w,
-            RowAgg::Max,
-            Schedule::sequential(),
-            1,
-            None,
-            &off,
-        );
+        let (survivors, timings) =
+            score_candidates_pruned(&q, &lake, &cands, sim, &w, RowAgg::Max, 1, 1, None, &off);
         assert_eq!(survivors.len(), 1);
         assert_eq!(survivors[0].0, TableId(0));
         assert_eq!(timings.tables_scored, 1);
@@ -1112,31 +1050,11 @@ mod tests {
         let w = ones(&q);
         let cands: Vec<TableId> = (0..3).map(TableId).collect();
 
-        let (plain, _) = score_candidates_pruned(
-            &q,
-            &lake,
-            &cands,
-            sim,
-            &w,
-            RowAgg::Max,
-            Schedule::sequential(),
-            1,
-            None,
-            &off,
-        );
+        let (plain, _) =
+            score_candidates_pruned(&q, &lake, &cands, sim, &w, RowAgg::Max, 1, 1, None, &off);
         let trace = thetis_obs::QueryTrace::forced(11);
-        let (traced, _) = score_candidates_pruned(
-            &q,
-            &lake,
-            &cands,
-            sim,
-            &w,
-            RowAgg::Max,
-            Schedule::sequential(),
-            1,
-            None,
-            &trace,
-        );
+        let (traced, _) =
+            score_candidates_pruned(&q, &lake, &cands, sim, &w, RowAgg::Max, 1, 1, None, &trace);
         assert_eq!(plain, traced, "tracing must not perturb the ranking");
 
         let events = trace.events();
@@ -1175,18 +1093,8 @@ mod tests {
         let q = Query::single(vec![players[0]]);
         let w = ones(&q);
         let cands: Vec<TableId> = (0..3).map(TableId).collect();
-        let (survivors, _) = score_candidates_pruned(
-            &q,
-            &lake,
-            &cands,
-            sim,
-            &w,
-            RowAgg::Max,
-            Schedule::sequential(),
-            0,
-            None,
-            &off,
-        );
+        let (survivors, _) =
+            score_candidates_pruned(&q, &lake, &cands, sim, &w, RowAgg::Max, 1, 0, None, &off);
         assert!(survivors.is_empty());
     }
 }

@@ -116,16 +116,27 @@ fn build_scenario(seed: u64, n_tables: usize, rows_per_table: usize) -> Scenario
     Scenario { graph, lake, query }
 }
 
-/// Exhaustive options that rank *every* table: no pruning, `k` covers the
-/// whole lake, tiny steal blocks for maximum interleaving.
+/// Exhaustive options that rank *every* table: direct σ, no pruning, `k`
+/// covers the whole lake. Workers only run when the lake gives each of them
+/// 16 candidates, so multi-threaded tests size their lakes to match and
+/// check [`drained_workers`].
 fn exhaustive_options(lake: &DataLake, threads: usize) -> SearchOptions {
     SearchOptions {
         threads,
-        prune: false,
-        steal_block: 1,
-        min_per_thread: 1,
-        ..SearchOptions::top(lake.len())
+        ..SearchOptions::exhaustive(lake.len())
     }
+}
+
+/// Distinct scoring workers that drained on `trace` (`sched.drain` events
+/// carry the worker's index).
+fn drained_workers(trace: &QueryTrace) -> usize {
+    trace
+        .events()
+        .iter()
+        .filter(|e| e.name == "sched.drain")
+        .filter_map(|e| e.attr_u64("worker"))
+        .collect::<BTreeSet<_>>()
+        .len()
 }
 
 /// Table ids dropped by panic isolation, recovered from the flight
@@ -162,7 +173,7 @@ fn maybe_write_trace_artifact(trace: &QueryTrace) {
 #[test]
 fn sigma_panic_mid_query_drops_only_the_panicked_tables() {
     let _g = serial();
-    let s = build_scenario(7, 40, 4);
+    let s = build_scenario(7, 64, 4);
     let engine = ThetisEngine::new(&s.graph, &s.lake, TypeJaccard::new(&s.graph));
     let options = exhaustive_options(&s.lake, 4);
     let baseline = engine.search(&s.query, options);
@@ -170,7 +181,7 @@ fn sigma_panic_mid_query_drops_only_the_panicked_tables() {
 
     // The per-hit fire decision depends on thread interleaving, so a fixed
     // seed does not guarantee a fixed panic count — try a few seeds until
-    // at least one table panics (p = 0.25 over ~40 tables makes the first
+    // at least one table panics (p = 0.25 over ~64 tables makes the first
     // seed overwhelmingly likely).
     let mut verified = false;
     for seed in 1..=5u64 {
@@ -184,6 +195,7 @@ fn sigma_panic_mid_query_drops_only_the_panicked_tables() {
             continue;
         }
 
+        assert_eq!(drained_workers(&trace), 4, "every worker must run");
         assert!(chaotic.stats.degraded, "panicking run must report degraded");
         assert!(chaotic.stats.degraded_reason.worker_panic);
         assert_eq!(chaotic.stats.worker_panics(), panicked.len());
@@ -316,18 +328,15 @@ fn deadline_returns_early_with_a_valid_partial_ranking() {
 
     // Size the lake adaptively so the full scan takes a measurable amount
     // of wall time on this machine/profile (debug vs release differ ~10×).
-    // Without the memo every table pays for its own σ, so the scan's time
-    // is spread evenly over the tables the deadline cuts between.
-    let unmemoized = |lake: &DataLake| SearchOptions {
-        memoize: false,
-        ..exhaustive_options(lake, 2)
-    };
+    // Without a memo every table pays for its own σ, so the scan's time is
+    // spread evenly over the tables the deadline cuts between. 48 tables
+    // give both workers their 16 candidates.
     let mut rows = 64usize;
     let (s, baseline, full_scan) = loop {
         let s = build_scenario(11, 48, rows);
         let engine = ThetisEngine::new(&s.graph, &s.lake, SlowSigma(TypeJaccard::new(&s.graph)));
         let t0 = Instant::now();
-        let baseline = engine.search(&s.query, unmemoized(&s.lake));
+        let baseline = engine.search(&s.query, exhaustive_options(&s.lake, 2));
         let full_scan = t0.elapsed();
         if full_scan >= Duration::from_millis(160) || rows >= 16384 {
             break (s, baseline, full_scan);
@@ -343,11 +352,13 @@ fn deadline_returns_early_with_a_valid_partial_ranking() {
     let budget = full_scan / 8;
     let options = SearchOptions {
         deadline: Some(budget),
-        ..unmemoized(&s.lake)
+        ..exhaustive_options(&s.lake, 2)
     };
+    let trace = QueryTrace::summary(11);
     let t0 = Instant::now();
-    let partial = engine.search(&s.query, options);
+    let partial = engine.execute(&s.query, options, Candidates::Lake, None, &trace);
     let elapsed = t0.elapsed();
+    assert_eq!(drained_workers(&trace), 2, "both workers must run");
 
     // Granularity is one steal block, so allow 2× the budget plus slack
     // for scheduler noise — and in any case far less than the full scan.
@@ -399,13 +410,15 @@ fn deadline_returns_early_with_a_valid_partial_ranking() {
 #[test]
 fn zero_deadline_degrades_to_an_empty_result() {
     let _g = serial();
-    let s = build_scenario(3, 24, 4);
+    let s = build_scenario(3, 32, 4);
     let engine = ThetisEngine::new(&s.graph, &s.lake, TypeJaccard::new(&s.graph));
     let options = SearchOptions {
         deadline: Some(Duration::ZERO),
         ..exhaustive_options(&s.lake, 2)
     };
-    let result = engine.search(&s.query, options);
+    let trace = QueryTrace::summary(3);
+    let result = engine.execute(&s.query, options, Candidates::Lake, None, &trace);
+    assert_eq!(drained_workers(&trace), 2, "both workers must run");
     assert!(result.ranked.is_empty());
     assert!(result.stats.degraded);
     assert!(result.stats.degraded_reason.deadline);
@@ -420,7 +433,7 @@ fn zero_deadline_degrades_to_an_empty_result() {
 #[test]
 fn zero_probability_plan_is_bit_identical_to_fault_free() {
     let _g = serial();
-    let s = build_scenario(5, 30, 4);
+    let s = build_scenario(5, 64, 4);
     let engine = ThetisEngine::new(&s.graph, &s.lake, TypeJaccard::new(&s.graph));
     let options = exhaustive_options(&s.lake, 4);
     let baseline = engine.search(&s.query, options);
@@ -433,7 +446,9 @@ fn zero_probability_plan_is_bit_identical_to_fault_free() {
         )
         .unwrap(),
     );
-    let armed = engine.search(&s.query, options);
+    let trace = QueryTrace::summary(9);
+    let armed = engine.execute(&s.query, options, Candidates::Lake, None, &trace);
+    assert_eq!(drained_workers(&trace), 4, "every worker must run");
     assert_eq!(faults::fired("sigma"), 0);
     assert!(faults::hits("sigma") > 0, "failpoint was never reached");
     assert!(!armed.stats.degraded);
@@ -449,7 +464,7 @@ fn zero_probability_plan_is_bit_identical_to_fault_free() {
 #[test]
 fn missing_lsei_falls_back_to_exhaustive_scan() {
     let _g = serial();
-    let s = build_scenario(13, 20, 4);
+    let s = build_scenario(13, 32, 4);
     let engine = ThetisEngine::new(&s.graph, &s.lake, TypeJaccard::new(&s.graph));
     let options = exhaustive_options(&s.lake, 2);
     let trace = QueryTrace::forced(42);
@@ -460,6 +475,7 @@ fn missing_lsei_falls_back_to_exhaustive_scan() {
     assert!(fallback.stats.degraded);
     assert!(fallback.stats.degraded_reason.lsei_fallback);
     assert_eq!(fallback.ranked, direct.ranked);
+    assert_eq!(drained_workers(&trace), 2, "both workers must run");
     assert!(
         trace.events().iter().any(|e| e.name == "lsei.fallback"),
         "fallback must be visible in the flight recorder"
@@ -489,7 +505,7 @@ proptest! {
         threads in 1usize..5,
     ) {
         let _g = serial();
-        let s = build_scenario(seed, 24, 3);
+        let s = build_scenario(seed, (threads * 16).max(24), 3);
         let engine = ThetisEngine::new(&s.graph, &s.lake, TypeJaccard::new(&s.graph));
         let options = exhaustive_options(&s.lake, threads);
         let baseline = engine.search(&s.query, options);
@@ -501,6 +517,7 @@ proptest! {
         let chaotic = engine.execute(&s.query, options, Candidates::Lake, None, &trace);
         let panicked = panicked_tables(&trace);
 
+        prop_assert_eq!(drained_workers(&trace), threads);
         prop_assert_eq!(chaotic.stats.worker_panics(), panicked.len());
         prop_assert_eq!(chaotic.stats.tables_unscored, panicked.len());
         prop_assert_eq!(
@@ -539,7 +556,7 @@ fn mid_delta_panic_leaves_the_previous_epoch_readable() {
     use thetis_datalake::{EpochLake, Mutation};
 
     let _g = serial();
-    let s = build_scenario(11, 12, 3);
+    let s = build_scenario(11, 32, 3);
     let options = exhaustive_options(&s.lake, 2);
     let store = EpochLake::new(s.lake);
 
@@ -577,7 +594,9 @@ fn mid_delta_panic_leaves_the_previous_epoch_readable() {
 
     // Reads against the surviving epoch are bit-identical to the baseline.
     let engine = ThetisEngine::new(&s.graph, &pinned, TypeJaccard::new(&s.graph));
-    let after = engine.search(&s.query, options);
+    let trace = QueryTrace::summary(11);
+    let after = engine.execute(&s.query, options, Candidates::Lake, None, &trace);
+    assert_eq!(drained_workers(&trace), 2, "both workers must run");
     assert!(!after.stats.degraded, "surviving epoch must not degrade");
     assert_eq!(after.stats.lake_epoch, epoch_before);
     assert_eq!(after.ranked.len(), baseline.ranked.len());

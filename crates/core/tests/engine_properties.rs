@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use thetis_core::search::{score_candidates, Schedule};
+use thetis_core::search::score_candidates;
 use thetis_core::{
     Candidates, EmbeddingCosine, Informativeness, Query, RowAgg, SearchOptions,
     SharedSimilarityCache, SigmaKernel, SigmaSource, SimilarityCache, ThetisEngine, TypeJaccard,
@@ -130,6 +130,20 @@ fn build_skewed_scenario(seed: u64, n_entities: usize, n_tables: usize) -> Scena
     tables.push(unlinked);
     s.lake = DataLake::from_tables(tables);
     s
+}
+
+/// Distinct scoring workers that drained on `trace` (`sched.drain` events
+/// carry the worker's index).
+fn drained_workers(trace: &QueryTrace) -> usize {
+    let mut workers: Vec<u64> = trace
+        .events()
+        .iter()
+        .filter(|e| e.name == "sched.drain")
+        .filter_map(|e| e.attr_u64("worker"))
+        .collect();
+    workers.sort_unstable();
+    workers.dedup();
+    workers.len()
 }
 
 /// The exhaustive sequential reference, computed from the *raw* row-walk
@@ -255,27 +269,27 @@ proptest! {
 
     /// The digest-driven, work-stolen scorer is **bit-identical** to the
     /// raw row-walk reference for every σ × aggregation combination, under
-    /// skewed table sizes and 1–8 worker threads with a tiny steal block
-    /// (maximum interleaving).
+    /// skewed table sizes and 1–8 worker threads, each of which really runs
+    /// (the lake gives every worker its 16 candidates).
     #[test]
     fn digest_scoring_is_bit_identical_to_raw_reference(
         seed in any::<u64>(),
         threads in 1usize..9,
     ) {
-        let s = build_skewed_scenario(seed, 14, 40);
+        let s = build_skewed_scenario(seed, 14, (threads * 16).max(40));
         let weights = Informativeness::from_lake(&s.lake).query_weights(&s.lake, &s.query);
         let candidates: Vec<TableId> = (0..s.lake.len() as u32).map(TableId).collect();
-        let sched = Schedule { threads, block: 2, min_per_thread: 1 };
-        let off = QueryTrace::disabled();
         let type_sim = TypeJaccard::new(&s.graph);
         let emb_sim = EmbeddingCosine::new(&s.store);
         let sims: [&(dyn thetis_core::EntitySimilarity + Sync); 2] = [&type_sim, &emb_sim];
         for sim in sims {
             for agg in [RowAgg::Max, RowAgg::Avg] {
                 let reference = reference_scores(&s, sim, &weights, agg);
+                let trace = QueryTrace::summary(seed);
                 let (mut fast, timings) = score_candidates(
-                    &s.query, &s.lake, &candidates, SigmaSource::Direct(sim), &weights, agg, sched, None, &off,
+                    &s.query, &s.lake, &candidates, SigmaSource::Direct(sim), &weights, agg, threads, None, &trace,
                 );
+                prop_assert_eq!(drained_workers(&trace), threads);
                 fast.sort_by_key(|&(t, _)| t);
                 prop_assert_eq!(fast.len(), reference.len());
                 for (&(ft, fs), &(rt, rs)) in fast.iter().zip(&reference) {
@@ -293,14 +307,14 @@ proptest! {
 
     /// The pruned, floor-seeded, bound-ordered path returns the same top-k
     /// as the raw reference for all four σ × aggregation combos and any
-    /// thread count.
+    /// thread count; every worker runs at least the bound phase.
     #[test]
     fn pruned_digest_search_keeps_the_reference_top_k(
         seed in any::<u64>(),
         k in 1usize..6,
         threads in 1usize..9,
     ) {
-        let s = build_skewed_scenario(seed, 14, 40);
+        let s = build_skewed_scenario(seed, 14, (threads * 16).max(40));
         let type_sim = TypeJaccard::new(&s.graph);
         let emb_sim = EmbeddingCosine::new(&s.store);
         for use_embeddings in [false, true] {
@@ -308,20 +322,20 @@ proptest! {
                 let opts = SearchOptions {
                     agg,
                     threads,
-                    steal_block: 2,
-                    min_per_thread: 1,
                     ..SearchOptions::top(k)
                 };
                 let weights = Informativeness::from_lake(&s.lake).query_weights(&s.lake, &s.query);
+                let trace = QueryTrace::summary(seed);
                 let (pruned, reference) = if use_embeddings {
                     let engine = ThetisEngine::new(&s.graph, &s.lake, EmbeddingCosine::new(&s.store));
-                    (engine.search(&s.query, opts).ranked,
+                    (engine.execute(&s.query, opts, Candidates::Lake, None, &trace).ranked,
                      reference_scores(&s, &emb_sim, &weights, agg))
                 } else {
                     let engine = ThetisEngine::new(&s.graph, &s.lake, TypeJaccard::new(&s.graph));
-                    (engine.search(&s.query, opts).ranked,
+                    (engine.execute(&s.query, opts, Candidates::Lake, None, &trace).ranked,
                      reference_scores(&s, &type_sim, &weights, agg))
                 };
+                prop_assert_eq!(drained_workers(&trace), threads);
                 let mut top = thetis_core::topk::TopK::new(k);
                 for &(t, score) in &reference {
                     top.push(t, score);
@@ -356,7 +370,7 @@ proptest! {
             SigmaSource::Memo(&rows),
             &weights,
             RowAgg::Max,
-            Schedule::with_threads(threads),
+            threads,
             None,
             &QueryTrace::disabled(),
         );
@@ -387,7 +401,7 @@ proptest! {
     /// A shared memo with room for one row evicts all the time, yet one
     /// search never evaluates a pair twice: its `sigma_computed` stays
     /// within (distinct query entities × distinct entities of its
-    /// candidates), and it ranks bitwise like the memo-less search.
+    /// candidates), and it ranks bitwise like the exhaustive search.
     #[test]
     fn each_pair_is_computed_at_most_once_per_search_under_eviction(
         seed in any::<u64>(),
@@ -408,7 +422,7 @@ proptest! {
         pool.sort();
         pool.dedup();
         let bound = (s.query.distinct_entities().len() * pool.len()) as u64;
-        let reference = engine.search(&s.query, SearchOptions { memoize: false, ..options });
+        let reference = engine.search(&s.query, SearchOptions { exhaustive: true, ..options });
         for _ in 0..2 {
             let res = engine.execute(&s.query, options, Candidates::Lake, Some(&memo), &off);
             prop_assert!(
@@ -424,8 +438,8 @@ proptest! {
     }
 
     /// A stream of three queries through one shared memo of one row, with
-    /// the epoch advancing between them, ranks each query bitwise like
-    /// memo-less `execute`.
+    /// the epoch advancing between them, ranks each query bitwise like the
+    /// exhaustive `execute`.
     #[test]
     fn shared_memo_stream_across_epochs_ranks_like_no_memo(
         seed in any::<u64>(),
@@ -445,7 +459,7 @@ proptest! {
             let res = engine.execute(&query, options, Candidates::Lake, Some(memo), &off);
             let reference = engine.execute(
                 &query,
-                SearchOptions { memoize: false, ..options },
+                SearchOptions { exhaustive: true, ..options },
                 Candidates::Lake,
                 None,
                 &off,
@@ -470,8 +484,9 @@ proptest! {
         let s = build_scenario(seed, n_entities, n_tables);
         let engine = ThetisEngine::new(&s.graph, &s.lake, TypeJaccard::new(&s.graph));
         let cache = SimilarityCache::new();
-        // Disable pruning so both passes perform the same lookups.
-        let options = SearchOptions { prune: false, ..SearchOptions::top(k) };
+        // One worker, so both passes make the same prune decisions and
+        // therefore the same lookups.
+        let options = SearchOptions { threads: 1, ..SearchOptions::top(k) };
         let off = QueryTrace::disabled();
         let first = engine.execute(&s.query, options, Candidates::Lake, Some(&cache), &off);
         let second = engine.execute(&s.query, options, Candidates::Lake, Some(&cache), &off);

@@ -8,8 +8,9 @@
 //!
 //! ## Concurrency model
 //!
-//! One thread per connection; each search runs on the caller's connection
-//! thread using the engine's existing work-stealing scorer. Admission
+//! One thread per connection; each search scores on the caller's
+//! connection thread alone (one scoring worker per request), so the
+//! server's parallelism is its connections, not a request. Admission
 //! control is a single atomic in-flight counter: a search that would push
 //! it past [`ServerConfig::max_inflight`] is shed immediately with an
 //! `overloaded` response instead of queueing — the client owns the retry
@@ -72,7 +73,8 @@ pub enum SimKind {
     Embeddings,
 }
 
-/// Construction-time knobs of a [`Server`].
+/// Construction-time knobs of a [`Server`]. A search request scores on
+/// its connection's thread; no knob spreads one request over workers.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address (`"127.0.0.1:0"` picks a free port).
@@ -92,10 +94,6 @@ pub struct ServerConfig {
     pub use_lsei: bool,
     /// Default `k` when a request does not name one.
     pub k: usize,
-    /// Scoring worker threads per request (0 = all cores). A server
-    /// expecting many concurrent clients usually wants 1: concurrency
-    /// across requests, not within one.
-    pub threads: usize,
     /// Entity similarity to answer with.
     pub sim: SimKind,
     /// Default σ kernel for requests that do not name one (requests can
@@ -156,7 +154,6 @@ impl Default for ServerConfig {
             votes: 1,
             use_lsei: true,
             k: 10,
-            threads: 1,
             sim: SimKind::Types,
             kernel: SigmaKernel::default(),
             allow_debug: false,
@@ -714,9 +711,13 @@ impl Server {
             std::thread::sleep(Duration::from_millis(ms));
         }
 
-        let mut options = SearchOptions::top(req.k.map_or(self.config.k, |k| k as usize))
-            .with_kernel(self.config.kernel);
-        options.threads = self.config.threads;
+        let mut options = SearchOptions {
+            // One scoring worker per request: the server's concurrency
+            // comes from its connections, not from inside one request.
+            threads: 1,
+            ..SearchOptions::top(req.k.map_or(self.config.k, |k| k as usize))
+                .with_kernel(self.config.kernel)
+        };
         if let Some(ms) = req.deadline_ms {
             options = options.with_deadline(Duration::from_millis(ms));
         }

@@ -65,7 +65,6 @@ fn send(addr: std::net::SocketAddr, req: &Request) -> Response {
 #[test]
 fn concurrent_clients_match_the_oneshot_engine_bit_for_bit() {
     let (running, specs) = start(ServerConfig {
-        threads: 1,
         // Every spec is in flight at once; this test is about identity,
         // not shedding.
         max_inflight: 64,
@@ -147,7 +146,6 @@ fn saturated_server_sheds_with_overloaded() {
     let (running, specs) = start(ServerConfig {
         max_inflight: 1,
         allow_debug: true,
-        threads: 1,
         ..ServerConfig::default()
     });
     let addr = running.addr();
@@ -204,7 +202,6 @@ fn mutation_advances_the_epoch_and_invalidates_the_shared_cache() {
     let (running, specs) = start(ServerConfig {
         max_inflight: 4,
         allow_debug: true,
-        threads: 1,
         ..ServerConfig::default()
     });
     let addr = running.addr();
@@ -402,7 +399,6 @@ fn assert_serves_like(
 #[test]
 fn delta_maintained_lsei_matches_a_rebuild_after_mutations() {
     let (running, specs) = start(ServerConfig {
-        threads: 1,
         ..ServerConfig::default()
     });
     let addr = running.addr();

@@ -100,7 +100,6 @@ fn slowlog_captures_exactly_the_troubled_requests() {
         clock: clock.clone(),
         slowlog: Some(slowlog.clone()),
         max_inflight: 64,
-        threads: 1,
         ..ServerConfig::default()
     });
     let addr = running.addr();

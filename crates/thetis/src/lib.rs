@@ -61,8 +61,8 @@ pub mod prelude {
     };
     pub use thetis_core::{
         Candidates, DegradedReasons, EmbeddingCosine, EntitySimilarity, Informativeness,
-        PredicateJaccard, Query, RowAgg, Schedule, SearchOptions, SearchResult, SearchStats,
-        SigmaKernel, SimilarityCache, ThetisEngine, TypeJaccard,
+        PredicateJaccard, Query, RowAgg, SearchOptions, SearchResult, SearchStats, SigmaKernel,
+        SimilarityCache, ThetisEngine, TypeJaccard,
     };
     pub use thetis_corpus::{
         BenchQuery, Benchmark, BenchmarkConfig, BenchmarkKind, GroundTruth, TableGenConfig,
